@@ -21,7 +21,7 @@ from typing import Any
 
 from .canonical import secan
 from .core import (Alphabet, EnumerationCapError, Interpretation, Program, Rule,
-                   ScopeError, SEInterpretation, SESet)
+                   ScopeError, SEInterpretation, SESet, all_interpretations)
 from .equivalence import (EquivalenceNotion, FamilyWitness, SEModelWitness,
                           TautologyWitness, equivalence_report)
 from .lattice import is_rule_representable
@@ -87,6 +87,8 @@ def parse_se_set_document(doc: Any) -> SESet:
     if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
         raise ValueError("'alphabet' must be a list of atom names")
     alphabet = Alphabet(tuple(atoms))
+    # checks the cap first: one member near the top of a large alphabet takes 3^n bits
+    interps = all_interpretations(alphabet, _caps()[0])
     models = []
     if not isinstance(doc["models"], list):
         raise ValueError("'models' must be a list of [I, J] pairs")
@@ -95,9 +97,9 @@ def parse_se_set_document(doc: Any) -> SESet:
                 or not all(isinstance(side, list) for side in entry)):
             raise ValueError(f"malformed model entry {entry!r}; expected [I, J]")
         here, there = entry
-        models.append(SEInterpretation(Interpretation.of(alphabet, here),
-                                       Interpretation.of(alphabet, there)))
-    return SESet(alphabet, frozenset(models))
+        models.append(SEInterpretation(interps[alphabet.mask_of(here)],
+                                       interps[alphabet.mask_of(there)]))
+    return SESet(alphabet, models)
 
 
 def _emit(args: argparse.Namespace, text: str, document: dict[str, Any]) -> None:
@@ -160,7 +162,8 @@ def _witness_payload(notion: EquivalenceNotion, witness: object) -> tuple[str, d
         doc = {"kind": "se-model", "side": witness.side,
                "here": _interp_names(witness.se.here), "there": _interp_names(witness.se.there)}
         return text, doc
-    assert isinstance(witness, (FamilyWitness, TautologyWitness))
+    if not isinstance(witness, (FamilyWitness, TautologyWitness)):
+        raise TypeError(f"unknown witness type {type(witness).__name__}")
     rule_text = print_rule(witness.rule)
     text = _WITNESS_TEXT[notion].format(rule_text, witness.side)
     kind = "rule-se-set" if isinstance(witness, FamilyWitness) else "non-tautological-rule"

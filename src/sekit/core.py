@@ -1,15 +1,16 @@
 """Base value types: alphabets, interpretations, SE-interpretations, rules, programs.
 
-Interpretations are bit vectors over a sorted alphabet, so subset tests and
-model checks are plain integer arithmetic. All enumeration helpers return
-deterministically ordered tuples: interpretations in binary counting order,
-SE-interpretations sorted by (there, here).
+Interpretations are bit vectors over a sorted alphabet, and an SE-set is one
+integer with a bit per SE-pair, so subset tests, model checks and set
+algebra are plain integer arithmetic. This module alone knows how pairs map
+to bits. All enumeration helpers return deterministically ordered tuples:
+interpretations in binary counting order, SE-interpretations sorted by
+(there, here).
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 ATOM_PATTERN = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
@@ -209,90 +210,166 @@ class Program:
         return rule in self.rules
 
 
-@dataclass(frozen=True)
+def _ternary(bits: int) -> int:
+    """Sum of 3^k over the bits k of a mask: the mask's binary digits read in base 3."""
+    return int(f"{bits:b}", 3)
+
+
+@dataclass(frozen=True, init=False)
 class SESet:
-    """Set of SE-interpretations over one alphabet."""
+    """Set of SE-interpretations over one alphabet, stored as one integer.
+
+    Pair <I,J> is bit t(I) + t(J) of `_bits`, where t(x) sums 3^k over the
+    atoms k in x. Ternary digit k of the index is 0 when atom k is outside
+    J, 1 when it is in J but not in I, and 2 when it is in I. Every index
+    below 3^n is a pair, so set algebra is integer algebra; SEInterpretation
+    objects are built only when members are listed or looked up.
+    """
 
     alphabet: Alphabet
-    models: frozenset[SEInterpretation] = frozenset()
+    _bits: int
 
-    def __post_init__(self) -> None:
-        models = frozenset(self.models)
+    def __init__(self, alphabet: Alphabet, models: Iterable[SEInterpretation] = frozenset()) -> None:
+        bits = 0
         for m in models:
-            if m.alphabet != self.alphabet:
-                raise ValueError(f"SE-interpretation {m!r} is not over alphabet {self.alphabet.atoms}")
-        object.__setattr__(self, "models", models)
+            if m.alphabet != alphabet:
+                raise ValueError(f"SE-interpretation {m!r} is not over alphabet {alphabet.atoms}")
+            bits |= 1 << _ternary(m.here.bits) + _ternary(m.there.bits)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "_bits", bits)
+
+    @classmethod
+    def _of(cls, alphabet: Alphabet, bits: int) -> "SESet":
+        s = object.__new__(cls)
+        object.__setattr__(s, "alphabet", alphabet)
+        object.__setattr__(s, "_bits", bits)
+        return s
 
     @classmethod
     def full(cls, alphabet: Alphabet, cap: int | None = None) -> "SESet":
-        return cls(alphabet, frozenset(all_se_interpretations(alphabet, cap)))
+        return cls._of(alphabet, (1 << 3 ** _check_enumerable(alphabet, cap)) - 1)
+
+    @classmethod
+    def where(cls, alphabet: Alphabet, here: tuple[int, int], there: tuple[int, int],
+              cap: int | None = None) -> "SESet":
+        """Pairs <I,J> with I in the interval `here` and J in the interval `there`.
+
+        An interval is a (bottom, top) pair of bit masks and is empty when
+        the bottom is not below the top. The set over atoms 0..k-1 fills the
+        indices below 3^k; atom k keeps one shifted copy of it for each digit
+        the two intervals allow.
+        """
+        n = _check_enumerable(alphabet, cap)
+        (i_bot, i_top), (j_bot, j_top) = here, there
+        # the atoms that may take digit 0 (outside J), 1 (in J, not in I) and 2 (in I)
+        zero, one, two = ~(i_bot | j_bot), ~i_bot & j_top, i_top & j_top
+        bits = 1
+        for k in range(n):
+            step = 3 ** k
+            bits = ((bits if zero >> k & 1 else 0) | (bits << step if one >> k & 1 else 0)
+                    | (bits << 2 * step if two >> k & 1 else 0))
+        return cls._of(alphabet, bits)
+
+    def totals(self) -> "SESet":
+        """The total pair <J,J> for the J of every member <I,J>."""
+        bits, full = self._bits, self.alphabet.full_mask
+        for k in range(len(self.alphabet)):
+            # members with atom k in J but not in I move from digit 1 to digit 2
+            moved = bits & SESet.where(self.alphabet, (0, full & ~(1 << k)), (1 << k, full))._bits
+            bits = bits ^ moved | moved << 3 ** k
+        return SESet._of(self.alphabet, bits)
 
     def is_full(self) -> bool:
-        return len(self.models) == 3 ** len(self.alphabet)
+        return len(self) == 3 ** len(self.alphabet)
+
+    def _walk(self) -> Iterator[tuple[int, int]]:
+        """(here, there) masks of the members, sorted by (there, here).
+
+        J runs upward and I over the submasks of J in increasing order, so
+        each of the 3^n pairs is visited once.
+        """
+        n = len(self.alphabet)
+        t = [_ternary(x) for x in range(1 << n)]
+        flags = f"{self._bits:0{3 ** n}b}"[::-1]
+        for j in range(1 << n):
+            i = 0
+            while True:
+                if flags[t[i] + t[j]] == "1":
+                    yield i, j
+                if i == j:
+                    break
+                i = (i - j) & j
 
     def sorted_models(self) -> list[SEInterpretation]:
-        return sorted(self.models, key=SEInterpretation.sort_key)
+        interps = [Interpretation(self.alphabet, x) for x in range(1 << len(self.alphabet))]
+        return [SEInterpretation(interps[i], interps[j]) for i, j in self._walk()]
+
+    @property
+    def models(self) -> frozenset[SEInterpretation]:
+        return frozenset(self.sorted_models())
 
     def complement(self, cap: int | None = None) -> "SESet":
-        universe = frozenset(all_se_interpretations(self.alphabet, cap))
-        return SESet(self.alphabet, universe - self.models)
+        return SESet.full(self.alphabet, cap) - self
 
     def sort_key(self) -> tuple:
-        return tuple(m.sort_key() for m in self.sorted_models())
+        return tuple((j, i) for i, j in self._walk())
 
     def __contains__(self, se: object) -> bool:
-        return se in self.models
+        if not isinstance(se, SEInterpretation) or se.alphabet != self.alphabet:
+            return False
+        return bool(self._bits >> (_ternary(se.here.bits) + _ternary(se.there.bits)) & 1)
 
     def __len__(self) -> int:
-        return len(self.models)
+        return self._bits.bit_count()
+
+    def __repr__(self) -> str:
+        return f"SESet(alphabet={self.alphabet.atoms}, size={len(self)})"
 
     def __iter__(self) -> Iterator[SEInterpretation]:
         return iter(self.sorted_models())
 
-    def __or__(self, other: "SESet") -> "SESet":
+    def _same_alphabet(self, other: "SESet") -> None:
         if self.alphabet != other.alphabet:
             raise ValueError("SE-sets over different alphabets")
-        return SESet(self.alphabet, self.models | other.models)
+
+    def __or__(self, other: "SESet") -> "SESet":
+        self._same_alphabet(other)
+        return SESet._of(self.alphabet, self._bits | other._bits)
 
     def __and__(self, other: "SESet") -> "SESet":
-        if self.alphabet != other.alphabet:
-            raise ValueError("SE-sets over different alphabets")
-        return SESet(self.alphabet, self.models & other.models)
+        self._same_alphabet(other)
+        return SESet._of(self.alphabet, self._bits & other._bits)
+
+    def __sub__(self, other: "SESet") -> "SESet":
+        self._same_alphabet(other)
+        return SESet._of(self.alphabet, self._bits & ~other._bits)
+
+    def __le__(self, other: "SESet") -> bool:
+        self._same_alphabet(other)
+        return self._bits & ~other._bits == 0
+
+    def __lt__(self, other: "SESet") -> bool:
+        return self <= other and self._bits != other._bits
 
 
-def _check_enumerable(alphabet: Alphabet, cap: int | None) -> None:
+def _check_enumerable(alphabet: Alphabet, cap: int | None) -> int:
+    """The alphabet's size, once it is known to be enumerable under the cap."""
+    n = len(alphabet.atoms)
     limit = DEFAULT_ENUMERATION_CAP if cap is None else cap
-    if len(alphabet) == 0:
+    if n == 0:
         raise ValueError("enumeration requires a nonempty alphabet")
-    if len(alphabet) > limit:
+    if n > limit:
         raise EnumerationCapError(
-            f"alphabet has {len(alphabet)} atoms, exceeding the enumeration cap of {limit}")
-
-
-@lru_cache(maxsize=128)
-def _interpretations(alphabet: Alphabet) -> tuple[Interpretation, ...]:
-    return tuple(Interpretation(alphabet, bits) for bits in range(1 << len(alphabet)))
+            f"alphabet has {n} atoms, exceeding the enumeration cap of {limit}")
+    return n
 
 
 def all_interpretations(alphabet: Alphabet, cap: int | None = None) -> tuple[Interpretation, ...]:
     """All 2^n subsets of the alphabet in binary counting order."""
-    _check_enumerable(alphabet, cap)
-    return _interpretations(alphabet)
-
-
-@lru_cache(maxsize=128)
-def _se_interpretations(alphabet: Alphabet) -> tuple[SEInterpretation, ...]:
-    interps = _interpretations(alphabet)
-    out = []
-    for j_bits in range(1 << len(alphabet)):
-        there = interps[j_bits]
-        for i_bits in range(j_bits + 1):
-            if i_bits & j_bits == i_bits:
-                out.append(SEInterpretation(interps[i_bits], there))
-    return tuple(out)
+    n = _check_enumerable(alphabet, cap)
+    return tuple(Interpretation(alphabet, bits) for bits in range(1 << n))
 
 
 def all_se_interpretations(alphabet: Alphabet, cap: int | None = None) -> tuple[SEInterpretation, ...]:
     """All 3^n SE-interpretations, sorted by (there, here)."""
-    _check_enumerable(alphabet, cap)
-    return _se_interpretations(alphabet)
+    return tuple(SESet.full(alphabet, cap).sorted_models())

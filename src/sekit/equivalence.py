@@ -7,8 +7,7 @@ Four notions over a fixed alphabet, from weakest to strongest:
     sr   the families of rule SE-model sets coincide (tautology adjoined)
     su   the symmetric difference contains only SE-tautological rules
 
-Each stronger notion implies the ones below it; the report asserts that
-ladder and a violation is a bug, never an output.
+Each stronger notion implies the ones below it.
 """
 from __future__ import annotations
 
@@ -16,7 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .canonical import secan
 from .core import EPSILON, Alphabet, Program, Rule, SEInterpretation, SESet, rule_key
 from .semantics import is_se_tautology, se_models, se_models_program
 
@@ -29,11 +27,8 @@ class EquivalenceNotion(Enum):
 
 
 def se_equivalent_rules(r1: Rule, r2: Rule, alphabet: Alphabet, cap: int | None = None) -> bool:
-    """Single-rule SE-equivalence, decided twice: by model sets and by canonical forms."""
-    semantic = se_models(r1, alphabet, cap) == se_models(r2, alphabet, cap)
-    syntactic = secan(r1) == secan(r2)
-    assert semantic == syntactic, f"canonical forms disagree with SE-models on {r1!r} vs {r2!r}"
-    return semantic
+    """Single-rule SE-equivalence: the two rules have the same SE-models."""
+    return se_models(r1, alphabet, cap) == se_models(r2, alphabet, cap)
 
 
 def strongly_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
@@ -48,8 +43,7 @@ def _family(program: Program, alphabet: Alphabet, cap: int | None) -> frozenset[
 
 
 def _minimal(family: frozenset[SESet]) -> frozenset[SESet]:
-    return frozenset(s for s in family
-                     if not any(t.models < s.models for t in family))
+    return frozenset(s for s in family if not any(t < s for t in family))
 
 
 def sr_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
@@ -121,13 +115,11 @@ def equivalence_report(p1: Program, p2: Program, alphabet: Alphabet,
     sr = sr_equivalent(p1, p2, alphabet, cap)
     smr = smr_equivalent(p1, p2, alphabet, cap)
     su = su_equivalent(p1, p2, alphabet, cap)
-    assert (not su or sr) and (not sr or smr) and (not smr or s), \
-        "equivalence ladder violated; this is a bug"
 
     witnesses: dict[EquivalenceNotion, object] = {}
     if not s:
-        m1 = se_models_program(p1, alphabet, cap).models
-        m2 = se_models_program(p2, alphabet, cap).models
+        m1 = se_models_program(p1, alphabet, cap)
+        m2 = se_models_program(p2, alphabet, cap)
         candidates = ([(se.sort_key(), "left", se) for se in m1 - m2]
                       + [(se.sort_key(), "right", se) for se in m2 - m1])
         _, side, se = min(candidates)

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (EPSILON, Alphabet, Interpretation, Rule, SEInterpretation, SESet,
-                   all_interpretations, all_se_interpretations)
+                   all_interpretations)
 from .oracle import brute_representable
 from .reconstruct import induce_rule
-from .semantics import _masks, se_models
+from .semantics import _countermodels, _intervals, se_models
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,8 @@ def rule_to_countermodel_intervals(rule: Rule, alphabet: Alphabet) -> tuple[Inte
     """The two intervals carving out the rule's SE-countermodels; empty pair for the tautology."""
     if rule.is_epsilon:
         return Interval.empty(alphabet), Interval.empty(alphabet)
-    hp, hn, bp, bn = _masks(rule, alphabet)
-    full = alphabet.full_mask
-    l1 = Interval(Interpretation(alphabet, bp), Interpretation(alphabet, full & ~hp))
-    l2 = Interval(Interpretation(alphabet, hn | bp), Interpretation(alphabet, full & ~bn))
+    l1, l2 = (Interval(Interpretation(alphabet, bot), Interpretation(alphabet, top))
+              for bot, top in _intervals(rule, alphabet))
     return l1, l2
 
 
@@ -68,11 +66,8 @@ def interval_countermodels(l1: Interval, l2: Interval, cap: int | None = None) -
     """SE-interpretations excluded by the interval pair."""
     if l1.alphabet != l2.alphabet:
         raise ValueError("intervals over different alphabets")
-    out = []
-    for se in all_se_interpretations(l1.alphabet, cap):
-        if l2._holds(se.there.bits) and (l1._holds(se.here.bits) or l1._holds(se.there.bits)):
-            out.append(se)
-    return frozenset(out)
+    bounds = [(l.bot.bits, l.top.bits) for l in (l1, l2)]
+    return frozenset(_countermodels(l1.alphabet, *bounds, cap))
 
 
 def intervals_to_rule(l1: Interval, l2: Interval, alphabet: Alphabet) -> Rule:
@@ -112,12 +107,13 @@ def is_rule_representable(s: SESet, method: str = "induced",
         return True, EPSILON
     if method == "induced":
         rule = induce_rule(s, cap)
-        ok = s.models <= se_models(rule, s.alphabet, cap).models
+        ok = s <= se_models(rule, s.alphabet, cap)
         return ok, (rule if ok else None)
     if method == "lattice":
         rule = induce_rule(s, cap)
         l1, l2 = rule_to_countermodel_intervals(rule, s.alphabet)
-        ok = interval_countermodels(l1, l2, cap) == s.complement(cap).models
+        bounds = [(l.bot.bits, l.top.bits) for l in (l1, l2)]
+        ok = _countermodels(s.alphabet, *bounds, cap) == s.complement(cap)
         return ok, (intervals_to_rule(l1, l2, s.alphabet) if ok else None)
     witness = brute_representable(s, cap=cap, rule_cap=rule_cap)
     return witness is not None, witness

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
-from .core import Alphabet, EnumerationCapError, Rule, SESet, all_se_interpretations
+from .core import Alphabet, EnumerationCapError, Rule, SESet
 from .reconstruct import induce_rule
 from .semantics import se_models
 
@@ -40,22 +40,21 @@ def _se_index(alphabet: Alphabet, cap: int | None, rule_cap: int | None) -> dict
     """First rule in enumeration order for each representable SE-model set."""
     index: dict = {}
     for rule in enumerate_rules(alphabet, rule_cap):
-        index.setdefault(se_models(rule, alphabet, cap).models, rule)
+        index.setdefault(se_models(rule, alphabet, cap), rule)
     return index
 
 
 def brute_representable(s: SESet, cap: int | None = None,
                         rule_cap: int | None = None) -> Rule | None:
     """First enumerated rule whose SE-models are exactly S, if any."""
-    return _se_index(s.alphabet, cap, rule_cap).get(s.models)
+    return _se_index(s.alphabet, cap, rule_cap).get(s)
 
 
 def count_se_classes(alphabet: Alphabet, cap: int | None = None,
                      rule_cap: int | None = None) -> int:
     """Number of distinct SE-model sets over the alphabet, tautology class included."""
-    distinct = {se_models(rule, alphabet, cap).models
-                for rule in enumerate_rules(alphabet, rule_cap)}
-    distinct.add(frozenset(all_se_interpretations(alphabet, cap)))
+    distinct = {se_models(rule, alphabet, cap) for rule in enumerate_rules(alphabet, rule_cap)}
+    distinct.add(SESet.full(alphabet, cap))
     return len(distinct)
 
 
@@ -91,8 +90,8 @@ def closure_experiment(alphabet: Alphabet, op: str, cap: int | None = None,
     pair_count = 0
     for s1, s2 in combinations_with_replacement(representable, 2):
         pair_count += 1
-        merged = SESet(alphabet, s1.models | s2.models if op == "union" else s1.models & s2.models)
+        merged = s1 | s2 if op == "union" else s1 & s2
         induced = induce_rule(merged, cap)
-        if not merged.models <= se_models(induced, alphabet, cap).models:
+        if not merged <= se_models(induced, alphabet, cap):
             counterexamples.append(ClosureCounterexample(induce_rule(s1, cap), induce_rule(s2, cap)))
     return ClosureReport(op, alphabet, len(representable), pair_count, tuple(counterexamples))

@@ -12,15 +12,16 @@ of the alphabet (not just the members of S):
     negative head:  not positive-body, and every pair with the atom outside
                     J lies in S
 
-The induced rule for the full set is the canonical tautology; otherwise it
-is built from the classification. Its SE-model set is always a subset of S,
-with equality exactly when some rule has S as its SE-models.
+Each condition tests that one product set of pairs misses every pair S
+lacks. The induced rule for the full set is the canonical tautology;
+otherwise it is built from the classification. Its SE-model set is always
+a subset of S, with equality exactly when some rule has S as its SE-models.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import EPSILON, Rule, SESet, all_se_interpretations
+from .core import EPSILON, Rule, SESet
 
 
 @dataclass(frozen=True)
@@ -37,39 +38,26 @@ class AtomClassification:
 
 def classify_atoms(s: SESet, cap: int | None = None) -> AtomClassification:
     alphabet = s.alphabet
-    pairs = all_se_interpretations(alphabet, cap)
-    member = frozenset((m.here.bits, m.there.bits) for m in s.models)
-
+    full = alphabet.full_mask
+    missing = s.complement(cap)
+    # a condition holds when its product set of pairs misses every pair S lacks
     neg_body: set[str] = set()
     pos_head: set[str] = set()
     neg_head_ok: set[str] = set()
     for atom in alphabet:
         bit = 1 << alphabet.index(atom)
-        all_in_j = all_in_i = all_out_j = True
-        for se in pairs:
-            i, j = se.here.bits, se.there.bits
-            if (i, j) in member:
-                continue
-            if j & bit:
-                all_in_j = False
-            else:
-                all_out_j = False
-            if i & bit:
-                all_in_i = False
-        if all_in_j:
+        if not SESet.where(alphabet, (0, full), (bit, full), cap) & missing:
             neg_body.add(atom)
-        elif all_in_i:
+        elif not SESet.where(alphabet, (bit, full), (0, full), cap) & missing:
             pos_head.add(atom)
-        if all_out_j:
+        if not SESet.where(alphabet, (0, full), (0, full & ~bit), cap) & missing:
             neg_head_ok.add(atom)
 
-    ph_mask = alphabet.mask_of(pos_head)
     pos_body: set[str] = set()
     for atom in neg_head_ok:
         bit = 1 << alphabet.index(atom)
-        if all((se.here.bits, se.there.bits) in member
-               for se in pairs
-               if se.there.bits & ph_mask and not se.here.bits & bit):
+        if all(not SESet.where(alphabet, (0, full & ~bit), (1 << alphabet.index(head), full), cap)
+               & missing for head in pos_head):
             pos_body.add(atom)
 
     return AtomClassification(frozenset(neg_body), frozenset(pos_head),

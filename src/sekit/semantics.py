@@ -3,15 +3,15 @@
 A rule is read as the classical implication  or(head) <- and(body)  where an
 empty disjunction is falsity and an empty conjunction is truth. <I,J> is an
 SE-model of r when J classically satisfies r and I satisfies the reduct of r
-under J. SE-model computation enumerates every SE-interpretation and tests
-each pair; there is no symbolic shortcut here (the lattice module has one).
+under J. `is_c_model`, `reduct` and `is_se_model` state that definition pair
+by pair; `se_models` instead removes the rule's two countermodel products
+(see the lattice module) from the full SE-set, a few integer operations
+with no walk over the pairs.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .core import (EPSILON, Alphabet, Interpretation, Program, Rule, SEInterpretation,
-                   SESet, all_interpretations, all_se_interpretations)
+                   SESet, all_interpretations)
 
 Masks = tuple[int, int, int, int]
 
@@ -61,38 +61,36 @@ def is_se_model(rule: Rule, se: SEInterpretation) -> bool:
     return is_c_model(rule, se.there) and is_c_model(reduct(rule, se.there), se.here)
 
 
-@lru_cache(maxsize=None)
-def _se_models(rule: Rule, alphabet: Alphabet, cap: int | None) -> SESet:
-    pairs = all_se_interpretations(alphabet, cap)
-    if rule.is_epsilon:
-        return SESet(alphabet, frozenset(pairs))
-    masks = _masks(rule, alphabet)
-    hp, hn, bp, bn = masks
-    models = []
-    for se in pairs:
-        j = se.there.bits
-        if not _c_sat(masks, j):
-            continue
-        if (hn & ~j) != 0 or (bn & j) != 0:  # reduct is the canonical tautology
-            models.append(se)
-            continue
-        i = se.here.bits  # reduct is H+ :- B+
-        if (hp & i) != 0 or (bp & i) != bp:
-            models.append(se)
-    return SESet(alphabet, frozenset(models))
+def _intervals(rule: Rule, alphabet: Alphabet) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(bottom, top) masks of a proper rule's countermodel intervals
+    L1 = [B+, L \\ H+] and L2 = [H- u B+, L \\ B-]."""
+    hp, hn, bp, bn = _masks(rule, alphabet)
+    full = alphabet.full_mask
+    return (bp, full & ~hp), (hn | bp, full & ~bn)
+
+
+def _countermodels(alphabet: Alphabet, l1: tuple[int, int], l2: tuple[int, int],
+                   cap: int | None) -> SESet:
+    """Pairs <I,J> with J in l2 and I or J in l1, each interval a (bottom, top) mask pair."""
+    (bot1, top1), (bot2, top2) = l1, l2
+    return (SESet.where(alphabet, l1, l2, cap)
+            | SESet.where(alphabet, (0, alphabet.full_mask), (bot1 | bot2, top1 & top2), cap))
 
 
 def se_models(rule: Rule, alphabet: Alphabet, cap: int | None = None) -> SESet:
     """All SE-models of a single rule over the alphabet."""
-    return _se_models(rule, alphabet, cap)
+    full = SESet.full(alphabet, cap)
+    if rule.is_epsilon:
+        return full
+    return full - _countermodels(alphabet, *_intervals(rule, alphabet), cap)
 
 
 def se_models_program(program: Program, alphabet: Alphabet, cap: int | None = None) -> SESet:
     """Intersection of the rules' SE-model sets; everything for the empty program."""
-    models = frozenset(all_se_interpretations(alphabet, cap))
+    models = SESet.full(alphabet, cap)
     for rule in program:
-        models &= se_models(rule, alphabet, cap).models
-    return SESet(alphabet, models)
+        models &= se_models(rule, alphabet, cap)
+    return models
 
 
 def is_se_tautology(rule: Rule, alphabet: Alphabet, cap: int | None = None) -> bool:
@@ -101,14 +99,12 @@ def is_se_tautology(rule: Rule, alphabet: Alphabet, cap: int | None = None) -> b
 
 def is_well_defined(se_set: SESet) -> bool:
     """True when <J,J> is present for every member <I,J>."""
-    pairs = {(m.here.bits, m.there.bits) for m in se_set.models}
-    return all((j, j) in pairs for _, j in pairs)
+    return se_set.totals() <= se_set
 
 
 def answer_sets(program: Program, alphabet: Alphabet, cap: int | None = None) -> frozenset[Interpretation]:
     """Total SE-models <J,J> of the program with no proper <I,J> below them."""
     s = se_models_program(program, alphabet, cap)
-    pairs = {(m.here.bits, m.there.bits) for m in s.models}
-    totals = {j for i, j in pairs if i == j}
-    return frozenset(Interpretation(alphabet, j) for j in totals
-                     if not any(i != j and jj == j for i, jj in pairs))
+    answers = s.totals() - (s - s.totals()).totals()
+    return frozenset(j for j in all_interpretations(alphabet, cap)
+                     if SEInterpretation(j, j) in answers)

@@ -121,6 +121,16 @@ def test_induce_rejects_malformed_documents(capsys, tmp_path):
     assert run(capsys, "induce", str(bad3))[0] == 2  # here not below there
 
 
+def test_induce_rejects_documents_over_the_cap(capsys, tmp_path):
+    # rejected before any SE-set is built: the one member alone would take 3^30 bits
+    atoms = [f"a{k}" for k in range(30)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"alphabet": atoms, "models": [[atoms, atoms]]}))
+    code, out, err = run(capsys, "induce", str(path))
+    assert code == 2 and out == ""
+    assert "alphabet has 30 atoms, exceeding the enumeration cap of 20" in err
+
+
 def test_equiv_all_notions_with_witness(capsys, tmp_path):
     left = tmp_path / "left.lp"
     right = tmp_path / "right.lp"

@@ -1,6 +1,8 @@
 """Base types and deterministic enumeration."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import naive
@@ -137,3 +139,23 @@ def test_se_set_ordering_full_and_complement():
     half = SESet(a, frozenset(list(s.sorted_models())[:4]))
     assert (half | half.complement()) == s
     assert len(half & s) == 4
+
+
+def test_se_set_algebra_matches_frozensets():
+    a = Alphabet(("p", "q", "r"))
+    pairs = all_se_interpretations(a)
+    rng = random.Random(27)
+    for _ in range(200):
+        x = frozenset(rng.sample(pairs, rng.randint(0, 27)))
+        y = frozenset(rng.sample(pairs, rng.randint(0, 27)))
+        if rng.random() < 0.5:
+            y |= x
+        sx, sy = SESet(a, x), SESet(a, y)
+        assert (sx | sy).models == x | y
+        assert (sx & sy).models == x & y
+        assert sx.complement().models == frozenset(pairs) - x
+        assert len(sx) == len(x)
+        assert all((m in sx) == (m in x) for m in pairs)
+        assert (sx <= sy) == (x <= y) and (sx < sy) == (x < y)
+        assert sx.sorted_models() == sorted(x, key=SEInterpretation.sort_key)
+        assert (sx == sy) == (x == y)

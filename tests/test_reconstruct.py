@@ -12,6 +12,7 @@ from sekit.oracle import enumerate_rules
 
 L1 = Alphabet(("p",))
 L2 = Alphabet(("p", "q"))
+L3 = Alphabet(("p", "q", "r"))
 
 
 def subset_of_pairs(alphabet, picks):
@@ -61,8 +62,9 @@ def test_induced_rule_of_a_lonely_total_pair():
 
 
 def test_reconstruction_recovers_the_canonical_form():
-    for rule in enumerate_rules(L2):
-        assert induce_rule(se_models(rule, L2)) == secan(rule), rule
+    for alphabet in (L2, L3):
+        for rule in enumerate_rules(alphabet):
+            assert induce_rule(se_models(rule, alphabet)) == secan(rule), rule
     assert induce_rule(se_models(EPSILON, L2)) == EPSILON
 
 

@@ -1,6 +1,8 @@
 """C-models, reducts, SE-models, program semantics, answer sets."""
 from __future__ import annotations
 
+import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -16,6 +18,7 @@ from sekit.oracle import enumerate_rules
 
 L1 = Alphabet(("p",))
 L2 = Alphabet(("p", "q"))
+L3 = Alphabet(("p", "q", "r"))
 
 
 def interp(alphabet, names):
@@ -84,8 +87,29 @@ def test_se_models_of_epsilon_is_full():
 
 
 def test_se_models_agree_with_naive_oracle_for_every_rule():
-    for rule in enumerate_rules(L2):
-        assert model_names(se_models(rule, L2)) == naive.se_models(rule, ("p", "q")), rule
+    for alphabet in (L2, L3):
+        for rule in enumerate_rules(alphabet):
+            assert model_names(se_models(rule, alphabet)) == naive.se_models(rule, alphabet.atoms), rule
+
+
+def test_se_models_keeps_no_results_alive():
+    alphabet = Alphabet(tuple("abcdefgh"))
+    rng = random.Random(8)
+    rules: set = set()
+    while len(rules) < 200:
+        rules.add(strategies.random_rule(rng, alphabet.atoms))
+    calls = [(rule, alphabet) for rule in rules]
+    # one 15-atom SE-set takes 1.8 MB, so keeping any set or table of that size fails
+    calls.append((parse_rule("a ; not b :- c, not d."), Alphabet(tuple("abcdefghijklmno"))))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for rule, a in calls:
+            se_models(rule, a)
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert growth < 1 << 20, f"{growth} bytes still held after {len(calls)} se_models calls"
 
 
 def test_se_models_agree_with_pairwise_tests():
