@@ -17,11 +17,10 @@ import argparse
 import json
 import os
 import sys
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from .canonical import secan
-from .core import (Alphabet, EnumerationCapError, Interpretation, Program, Rule,
-                   ScopeError, SEInterpretation, SESet, all_interpretations)
+from .core import Alphabet, EnumerationCapError, ScopeError, SESet
 from .equivalence import (EquivalenceNotion, FamilyWitness, SEModelWitness,
                           TautologyWitness, equivalence_report)
 from .lattice import is_rule_representable
@@ -64,20 +63,16 @@ def _resolve_alphabet(flag: str | None, occurring: frozenset[str]) -> Alphabet:
     return Alphabet(tuple(occurring))
 
 
-def _interp_names(interpretation: Interpretation) -> list[str]:
-    return list(interpretation.atoms())
-
-
-def _se_text(se: SEInterpretation) -> str:
-    here = ", ".join(se.here.atoms())
-    there = ", ".join(se.there.atoms())
-    return f"([{here}], [{there}])"
+def _pair_text(here: Iterable[str], there: Iterable[str]) -> str:
+    return f"([{', '.join(here)}], [{', '.join(there)}])"
 
 
 def se_set_document(s: SESet) -> dict[str, Any]:
+    """The JSON document of S; members with equal sides share one atom-name list."""
+    pairs = list(s.masks())
+    names = {m: sorted(s.alphabet.atoms_of(m)) for m in {side for pair in pairs for side in pair}}
     return {"alphabet": list(s.alphabet.atoms),
-            "models": [[_interp_names(m.here), _interp_names(m.there)]
-                       for m in s.sorted_models()]}
+            "models": [[names[i], names[j]] for i, j in pairs]}
 
 
 def parse_se_set_document(doc: Any) -> SESet:
@@ -87,19 +82,27 @@ def parse_se_set_document(doc: Any) -> SESet:
     if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
         raise ValueError("'alphabet' must be a list of atom names")
     alphabet = Alphabet(tuple(atoms))
-    # checks the cap first: one member near the top of a large alphabet takes 3^n bits
-    interps = all_interpretations(alphabet, _caps()[0])
-    models = []
-    if not isinstance(doc["models"], list):
-        raise ValueError("'models' must be a list of [I, J] pairs")
-    for entry in doc["models"]:
-        if (not isinstance(entry, list) or len(entry) != 2
-                or not all(isinstance(side, list) for side in entry)):
-            raise ValueError(f"malformed model entry {entry!r}; expected [I, J]")
-        here, there = entry
-        models.append(SEInterpretation(interps[alphabet.mask_of(here)],
-                                       interps[alphabet.mask_of(there)]))
-    return SESet(alphabet, models)
+    masks: dict[tuple[Any, ...], int] = {}
+
+    def pairs() -> Iterator[tuple[int, int]]:
+        if not isinstance(doc["models"], list):
+            raise ValueError("'models' must be a list of [I, J] pairs")
+        for entry in doc["models"]:
+            if (not isinstance(entry, list) or len(entry) != 2
+                    or not isinstance(entry[0], list) or not isinstance(entry[1], list)):
+                raise ValueError(f"malformed model entry {entry!r}; expected [I, J]")
+            try:
+                here, there = masks[tuple(entry[0])], masks[tuple(entry[1])]
+            except (KeyError, TypeError):  # a side not seen before, or an unhashable atom
+                if not all(isinstance(a, str) for side in entry for a in side):
+                    raise ValueError(f"malformed model entry {entry!r}; "
+                                     "atom names must be strings") from None
+                here, there = (masks.setdefault(tuple(side), alphabet.mask_of(side)) for side in entry)
+            yield here, there
+
+    # the cap is checked before the models are read: one member near the top of a
+    # large alphabet takes 3^n bits
+    return SESet.from_masks(alphabet, pairs(), _caps()[0])
 
 
 def _emit(args: argparse.Namespace, text: str, document: dict[str, Any]) -> None:
@@ -120,8 +123,8 @@ def cmd_models(args: argparse.Namespace) -> int:
         rule = parse_rule(args.rule)
         alphabet = _resolve_alphabet(args.alphabet, rule.atoms)
         result = se_models(rule, alphabet, cap)
-    _emit(args, " ".join(_se_text(m) for m in result.sorted_models()),
-          se_set_document(result))
+    document = se_set_document(result)
+    _emit(args, " ".join(_pair_text(i, j) for i, j in document["models"]), document)
     return 0
 
 
@@ -158,9 +161,9 @@ _WITNESS_TEXT = {
 
 def _witness_payload(notion: EquivalenceNotion, witness: object) -> tuple[str, dict[str, Any]]:
     if isinstance(witness, SEModelWitness):
-        text = _WITNESS_TEXT[notion].format(_se_text(witness.se), witness.side)
-        doc = {"kind": "se-model", "side": witness.side,
-               "here": _interp_names(witness.se.here), "there": _interp_names(witness.se.there)}
+        here, there = list(witness.se.here.atoms()), list(witness.se.there.atoms())
+        text = _WITNESS_TEXT[notion].format(_pair_text(here, there), witness.side)
+        doc = {"kind": "se-model", "side": witness.side, "here": here, "there": there}
         return text, doc
     if not isinstance(witness, (FamilyWitness, TautologyWitness)):
         raise TypeError(f"unknown witness type {type(witness).__name__}")

@@ -66,8 +66,11 @@ class Alphabet:
 
     def mask_of(self, atoms: Iterable[str]) -> int:
         mask = 0
-        for atom in sorted(set(atoms)):
-            mask |= 1 << self.index(atom)
+        try:
+            for atom in atoms:
+                mask |= 1 << self._index[atom]
+        except KeyError:  # index() raises ScopeError for the smallest missing atom, in any order
+            self.index(min(a for a in (atom, *atoms) if a not in self._index))
         return mask
 
     def atoms_of(self, mask: int) -> frozenset[str]:
@@ -195,10 +198,7 @@ class Program:
 
     @property
     def atoms(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for rule in self.rules:
-            out |= rule.atoms
-        return out
+        return frozenset().union(*(rule.atoms for rule in self.rules))
 
     def __iter__(self) -> Iterator[Rule]:
         return iter(sorted(self.rules, key=rule_key))
@@ -246,6 +246,22 @@ class SESet:
         return s
 
     @classmethod
+    def from_masks(cls, alphabet: Alphabet, pairs: Iterable[tuple[int, int]],
+                   cap: int | None = None) -> "SESet":
+        """The pairs <I,J> given as (here, there) bit masks, the inverse of `masks`.
+        The cap is checked before `pairs` is read. Each distinct side's index is
+        computed once: a document repeats every side many times."""
+        n, bits, index = _check_enumerable(alphabet, cap), 0, {}
+        for here, there in pairs:
+            if here & ~there or there >> n:  # the checked constructors name the fault
+                SEInterpretation(Interpretation(alphabet, here), Interpretation(alphabet, there))
+            for side in (here, there):
+                if side not in index:
+                    index[side] = _ternary(side)
+            bits |= 1 << index[here] + index[there]
+        return cls._of(alphabet, bits)
+
+    @classmethod
     def full(cls, alphabet: Alphabet, cap: int | None = None) -> "SESet":
         return cls._of(alphabet, (1 << 3 ** _check_enumerable(alphabet, cap)) - 1)
 
@@ -282,8 +298,8 @@ class SESet:
     def is_full(self) -> bool:
         return len(self) == 3 ** len(self.alphabet)
 
-    def _walk(self) -> Iterator[tuple[int, int]]:
-        """(here, there) masks of the members, sorted by (there, here).
+    def masks(self) -> Iterator[tuple[int, int]]:
+        """(here, there) bit masks of the members, sorted by (there, here).
 
         J runs upward and I over the submasks of J in increasing order, so
         each of the 3^n pairs is visited once.
@@ -302,7 +318,7 @@ class SESet:
 
     def sorted_models(self) -> list[SEInterpretation]:
         interps = [Interpretation(self.alphabet, x) for x in range(1 << len(self.alphabet))]
-        return [SEInterpretation(interps[i], interps[j]) for i, j in self._walk()]
+        return [SEInterpretation(interps[i], interps[j]) for i, j in self.masks()]
 
     @property
     def models(self) -> frozenset[SEInterpretation]:
@@ -312,7 +328,7 @@ class SESet:
         return SESet.full(self.alphabet, cap) - self
 
     def sort_key(self) -> tuple:
-        return tuple((j, i) for i, j in self._walk())
+        return tuple((j, i) for i, j in self.masks())
 
     def __contains__(self, se: object) -> bool:
         if not isinstance(se, SEInterpretation) or se.alphabet != self.alphabet:

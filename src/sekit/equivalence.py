@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 from typing import Mapping
 
-from .core import EPSILON, Alphabet, Program, Rule, SEInterpretation, SESet, rule_key
-from .semantics import is_se_tautology, se_models, se_models_program
+from .core import (EPSILON, Alphabet, Interpretation, Program, Rule, SEInterpretation, SESet,
+                   rule_key)
+from .semantics import se_models
 
 
 class EquivalenceNotion(Enum):
@@ -31,31 +33,35 @@ def se_equivalent_rules(r1: Rule, r2: Rule, alphabet: Alphabet, cap: int | None 
     return se_models(r1, alphabet, cap) == se_models(r2, alphabet, cap)
 
 
+def _compare(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None) -> tuple:
+    """The four verdicts and, per program, the sets behind them: SE-models, rule family
+    (tautology adjoined), its minimal members; then the rules that are no SE-tautology.
+    Each rule's SE-model set is computed once."""
+    sets = {rule: se_models(rule, alphabet, cap) for rule in {EPSILON} | p1.rules | p2.rules}
+    models = [reduce(SESet.__and__, (sets[r] for r in p.rules), sets[EPSILON]) for p in (p1, p2)]
+    families = [frozenset(sets[r] for r in p.rules | {EPSILON}) for p in (p1, p2)]
+    minimal = [frozenset(s for s in f if not any(t < s for t in f)) for f in families]
+    untaut = [r for r in p1.rules ^ p2.rules if not sets[r].is_full()]
+    verdicts = {EquivalenceNotion.S: models[0] == models[1],
+                EquivalenceNotion.SR: families[0] == families[1],
+                EquivalenceNotion.SMR: minimal[0] == minimal[1], EquivalenceNotion.SU: not untaut}
+    return verdicts, sets, models, families, minimal, untaut
+
+
 def strongly_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
-    return se_models_program(p1, alphabet, cap) == se_models_program(p2, alphabet, cap)
-
-
-def _family(program: Program, alphabet: Alphabet, cap: int | None) -> frozenset[SESet]:
-    """Rule SE-model sets of the program with the tautology's full set adjoined."""
-    sets = {se_models(rule, alphabet, cap) for rule in program}
-    sets.add(SESet.full(alphabet, cap))
-    return frozenset(sets)
-
-
-def _minimal(family: frozenset[SESet]) -> frozenset[SESet]:
-    return frozenset(s for s in family if not any(t < s for t in family))
+    return _compare(p1, p2, alphabet, cap)[0][EquivalenceNotion.S]
 
 
 def sr_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
-    return _family(p1, alphabet, cap) == _family(p2, alphabet, cap)
+    return _compare(p1, p2, alphabet, cap)[0][EquivalenceNotion.SR]
 
 
 def smr_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
-    return _minimal(_family(p1, alphabet, cap)) == _minimal(_family(p2, alphabet, cap))
+    return _compare(p1, p2, alphabet, cap)[0][EquivalenceNotion.SMR]
 
 
 def su_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
-    return all(is_se_tautology(rule, alphabet, cap) for rule in p1.rules ^ p2.rules)
+    return _compare(p1, p2, alphabet, cap)[0][EquivalenceNotion.SU]
 
 
 @dataclass(frozen=True)
@@ -95,48 +101,31 @@ class EquivalenceReport:
         return all(self.verdicts[n] for n in wanted)
 
 
-def _family_witness(fam1: frozenset[SESet], fam2: frozenset[SESet],
-                    p1: Program, p2: Program, alphabet: Alphabet,
-                    cap: int | None) -> FamilyWitness:
-    candidates = []
-    for side, only, program in (("left", fam1 - fam2, p1), ("right", fam2 - fam1, p2)):
-        for s in only:
-            rule = min((r for r in (set(program.rules) | {EPSILON})
-                        if se_models(r, alphabet, cap) == s), key=rule_key)
-            candidates.append((s.sort_key(), side, rule))
-    key, side, rule = min(candidates)
+def _family_witness(fam1: frozenset[SESet], fam2: frozenset[SESet], p1: Program, p2: Program,
+                    sets: Mapping[Rule, SESet]) -> FamilyWitness:
+    """The first rule, in rule order, behind the unmatched set that comes first in SESet order."""
+    s, side, program = min([(s, "left", p1) for s in fam1 - fam2]
+                           + [(s, "right", p2) for s in fam2 - fam1],
+                           key=lambda candidate: candidate[0].sort_key())
+    rule = min((r for r in program.rules | {EPSILON} if sets[r] == s), key=rule_key)
     return FamilyWitness(rule, side)
 
 
 def equivalence_report(p1: Program, p2: Program, alphabet: Alphabet,
                        cap: int | None = None) -> EquivalenceReport:
     """All four verdicts plus a distinguishing witness for every failure."""
-    s = strongly_equivalent(p1, p2, alphabet, cap)
-    sr = sr_equivalent(p1, p2, alphabet, cap)
-    smr = smr_equivalent(p1, p2, alphabet, cap)
-    su = su_equivalent(p1, p2, alphabet, cap)
-
+    verdicts, sets, (m1, m2), families, minimal, untaut = _compare(p1, p2, alphabet, cap)
     witnesses: dict[EquivalenceNotion, object] = {}
-    if not s:
-        m1 = se_models_program(p1, alphabet, cap)
-        m2 = se_models_program(p2, alphabet, cap)
-        candidates = ([(se.sort_key(), "left", se) for se in m1 - m2]
-                      + [(se.sort_key(), "right", se) for se in m2 - m1])
-        _, side, se = min(candidates)
-        witnesses[EquivalenceNotion.S] = SEModelWitness(se, side)
-    fam1 = _family(p1, alphabet, cap)
-    fam2 = _family(p2, alphabet, cap)
-    if not sr:
-        witnesses[EquivalenceNotion.SR] = _family_witness(fam1, fam2, p1, p2, alphabet, cap)
-    if not smr:
-        witnesses[EquivalenceNotion.SMR] = _family_witness(
-            _minimal(fam1), _minimal(fam2), p1, p2, alphabet, cap)
-    if not su:
-        bad = min((r for r in p1.rules ^ p2.rules if not is_se_tautology(r, alphabet, cap)),
-                  key=rule_key)
+    if not verdicts[EquivalenceNotion.S]:
+        here, there = next((m1 - m2 | m2 - m1).masks())  # the first in (there, here) order
+        se = SEInterpretation(Interpretation(alphabet, here), Interpretation(alphabet, there))
+        witnesses[EquivalenceNotion.S] = SEModelWitness(se, "left" if se in m1 else "right")
+    if not verdicts[EquivalenceNotion.SR]:
+        witnesses[EquivalenceNotion.SR] = _family_witness(*families, p1, p2, sets)
+    if not verdicts[EquivalenceNotion.SMR]:
+        witnesses[EquivalenceNotion.SMR] = _family_witness(*minimal, p1, p2, sets)
+    if untaut:
+        bad = min(untaut, key=rule_key)
         side = "left" if bad in p1.rules else "right"
         witnesses[EquivalenceNotion.SU] = TautologyWitness(bad, side)
-
-    verdicts = {EquivalenceNotion.S: s, EquivalenceNotion.SR: sr,
-                EquivalenceNotion.SMR: smr, EquivalenceNotion.SU: su}
     return EquivalenceReport(p1, p2, alphabet, verdicts, witnesses)

@@ -29,8 +29,7 @@ def enumerate_rules(alphabet: Alphabet, cap: int | None = None) -> tuple[Rule, .
     if n > limit:
         raise EnumerationCapError(
             f"alphabet has {n} atoms, exceeding the rule enumeration cap of {limit}")
-    subsets = [frozenset(a for i, a in enumerate(alphabet.atoms) if bits >> i & 1)
-               for bits in range(1 << n)]
+    subsets = [alphabet.atoms_of(bits) for bits in range(1 << n)]
     return tuple(Rule(head_pos=hp, head_neg=hn, body_pos=bp, body_neg=bn)
                  for hp, hn, bp, bn in product(subsets, repeat=4))
 

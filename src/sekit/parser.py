@@ -50,6 +50,7 @@ class _Token:
 
 
 _IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
+_PUNCTUATION = {";": "SEMI", ",": "COMMA", ".": "DOT"}
 
 
 def _tokenize(text: str, origin: str) -> list[_Token]:
@@ -81,16 +82,8 @@ def _tokenize(text: str, origin: str) -> list[_Token]:
             else:
                 raise ParseError(f"invalid atom {word!r} (atoms match [a-z][A-Za-z0-9_]*)",
                                  line, start_col, origin)
-        elif c == ";":
-            tokens.append(_Token("SEMI", c, line, col))
-            i += 1
-            col += 1
-        elif c == ",":
-            tokens.append(_Token("COMMA", c, line, col))
-            i += 1
-            col += 1
-        elif c == ".":
-            tokens.append(_Token("DOT", c, line, col))
+        elif c in _PUNCTUATION:
+            tokens.append(_Token(_PUNCTUATION[c], c, line, col))
             i += 1
             col += 1
         elif c == ":" and i + 1 < n and text[i + 1] == "-":

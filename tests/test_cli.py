@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import io
 import json
+import random
 
 import pytest
 
-from sekit.cli import main
+from sekit import (Alphabet, Interpretation, SEInterpretation, SESet, all_se_interpretations,
+                   print_rule, se_models)
+from sekit.cli import main, parse_se_set_document, se_set_document
+from strategies import random_rule
 
 
 def run(capsys, *argv):
@@ -129,6 +133,58 @@ def test_induce_rejects_documents_over_the_cap(capsys, tmp_path):
     code, out, err = run(capsys, "induce", str(path))
     assert code == 2 and out == ""
     assert "alphabet has 30 atoms, exceeding the enumeration cap of 20" in err
+
+
+@pytest.mark.parametrize("side", [[1, "p"], [["x"]]], ids=["int", "list"])
+def test_induce_rejects_non_string_atoms(capsys, tmp_path, side):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"alphabet": ["p"], "models": [[side, ["p"]]]}))
+    code, out, err = run(capsys, "induce", str(path))
+    assert code == 2 and out == ""
+    assert "malformed model entry" in err and "atom names must be strings" in err
+
+
+def _object_rendering(s):
+    """Text and JSON document of S built one SEInterpretation per pair, as before the
+    mask-level document layer."""
+    pairs = [(list(m.here.atoms()), list(m.there.atoms())) for m in s.sorted_models()]
+    text = " ".join(f"([{', '.join(i)}], [{', '.join(j)}])" for i, j in pairs)
+    return text, {"alphabet": list(s.alphabet.atoms), "models": [list(p) for p in pairs]}
+
+
+def test_se_set_documents_round_trip_and_match_the_object_rendering():
+    rng = random.Random(11)
+    for n in range(1, 5):
+        alphabet = Alphabet(tuple("pqrs"[:n]))
+        pairs = all_se_interpretations(alphabet)
+        for _ in range(40):
+            s = SESet(alphabet, rng.sample(pairs, rng.randint(0, len(pairs))))
+            doc = se_set_document(s)
+            assert json.dumps(doc) == json.dumps(_object_rendering(s)[1])
+            assert parse_se_set_document(json.loads(json.dumps(doc))) == s
+
+
+def test_models_output_matches_the_object_rendering(capsys):
+    rng = random.Random(12)
+    for n in range(1, 5):
+        alphabet = Alphabet(tuple("pqrs"[:n]))
+        for _ in range(10):
+            rule = random_rule(rng, alphabet.atoms)
+            text, doc = _object_rendering(se_models(rule, alphabet))
+            argv = ["models", print_rule(rule), "--alphabet", ",".join(alphabet.atoms)]
+            assert run(capsys, *argv) == (0, text + "\n", "")
+            assert run(capsys, *argv, "--format", "json") == (0, json.dumps(doc, indent=2) + "\n", "")
+
+
+def test_se_set_documents_accept_duplicates_and_unsorted_sides():
+    alphabet = Alphabet(("p", "q"))
+    pq, q = Interpretation.of(alphabet, ["p", "q"]), Interpretation.of(alphabet, ["q"])
+    expected = SESet(alphabet, {SEInterpretation(pq, pq), SEInterpretation(q, pq)})
+    doc = {"alphabet": ["q", "p"],
+           "models": [[["q", "p"], ["p", "q", "p"]], [["q"], ["q", "p"]], [["p", "q"], ["p", "q"]]]}
+    assert parse_se_set_document(doc) == expected
+    assert se_set_document(expected) == {"alphabet": ["p", "q"],
+                                         "models": [[["q"], ["p", "q"]], [["p", "q"], ["p", "q"]]]}
 
 
 def test_equiv_all_notions_with_witness(capsys, tmp_path):

@@ -37,6 +37,8 @@ def test_scope_error_names_the_atom():
     a = Alphabet(("p",))
     with pytest.raises(ScopeError, match="'z'"):
         Interpretation.of(a, ["z"])
+    with pytest.raises(ScopeError, match="'y'"):  # the smallest missing atom, whatever the order
+        a.mask_of(["z", "y"])
 
 
 def test_all_interpretations_binary_counting_order():
@@ -158,4 +160,19 @@ def test_se_set_algebra_matches_frozensets():
         assert all((m in sx) == (m in x) for m in pairs)
         assert (sx <= sy) == (x <= y) and (sx < sy) == (x < y)
         assert sx.sorted_models() == sorted(x, key=SEInterpretation.sort_key)
+        masks = [(m.here.bits, m.there.bits) for m in sx.sorted_models()]
+        assert list(sx.masks()) == masks
+        assert SESet.from_masks(a, masks[::-1] + masks) == sx
         assert (sx == sy) == (x == y)
+
+
+def test_from_masks_checks_pairs_and_cap():
+    a = Alphabet(("p", "q"))
+    with pytest.raises(ValueError, match=r"here \{p\} is not a subset of there \{q\}"):
+        SESet.from_masks(a, [(0b01, 0b10)])
+    with pytest.raises(ValueError, match="out of range"):
+        SESet.from_masks(a, [(0, 0b100)])
+    with pytest.raises(EnumerationCapError):
+        SESet.from_masks(a, iter(()), cap=1)
+    # the object constructor takes no cap: empty and large alphabets stay allowed
+    assert len(SESet(Alphabet(()))) == len(SESet(Alphabet(tuple(f"a{k}" for k in range(21))))) == 0

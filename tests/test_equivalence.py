@@ -7,9 +7,10 @@ from hypothesis import given
 
 import strategies
 from sekit import (EPSILON, Alphabet, EquivalenceNotion, FamilyWitness, Program,
-                   SEModelWitness, TautologyWitness, equivalence_report, parse_program,
-                   parse_rule, se_equivalent_rules, se_models, se_models_program,
-                   secan, smr_equivalent, sr_equivalent, strongly_equivalent, su_equivalent)
+                   SEModelWitness, TautologyWitness, equivalence_report, is_se_tautology,
+                   parse_program, parse_rule, se_equivalent_rules, se_models,
+                   se_models_program, secan, smr_equivalent, sr_equivalent,
+                   strongly_equivalent, su_equivalent)
 
 L1 = Alphabet(("p",))
 L2 = Alphabet(("p", "q"))
@@ -128,3 +129,39 @@ def test_report_is_deterministic():
         p1 = strategies.random_program(rng, ("p", "q", "r"))
         p2 = strategies.random_program(rng, ("p", "q", "r"))
         assert equivalence_report(p1, p2, L3) == equivalence_report(p1, p2, L3)
+
+
+def test_report_verdicts_match_the_public_functions_and_the_program_semantics():
+    rng = random.Random(11)
+    for _ in range(40):
+        p1 = strategies.random_program(rng, ("p", "q", "r"))
+        p2 = strategies.random_program(rng, ("p", "q", "r"))
+        verdicts = equivalence_report(p1, p2, L3).verdicts
+        assert verdicts == {EquivalenceNotion.S: strongly_equivalent(p1, p2, L3),
+                            EquivalenceNotion.SR: sr_equivalent(p1, p2, L3),
+                            EquivalenceNotion.SMR: smr_equivalent(p1, p2, L3),
+                            EquivalenceNotion.SU: su_equivalent(p1, p2, L3)}
+        assert verdicts[EquivalenceNotion.S] == (se_models_program(p1, L3)
+                                                 == se_models_program(p2, L3))
+        assert verdicts[EquivalenceNotion.SU] == all(is_se_tautology(r, L3)
+                                                     for r in p1.rules ^ p2.rules)
+
+
+def test_report_computes_each_rule_set_once(monkeypatch):
+    import sekit.equivalence
+    import sekit.semantics
+    calls = []
+    real = sekit.semantics.se_models
+
+    def counting(rule, alphabet, cap=None):
+        calls.append(rule)
+        return real(rule, alphabet, cap)
+
+    monkeypatch.setattr(sekit.equivalence, "se_models", counting)
+    monkeypatch.setattr(sekit.semantics, "se_models", counting)
+    p1 = prog("p :- q. q :- r. r ; s. :- p, s. p :- not s.")
+    p2 = prog("p :- q. q :- r. r. s :- not p.")
+    assert (len(p1), len(p2)) == (5, 4)
+    report = equivalence_report(p1, p2, Alphabet(tuple("pqrs")))
+    assert not any(report.verdicts.values())  # every witness is searched for
+    assert len(calls) <= len(p1.rules | p2.rules) + 1  # the tautology's full set
