@@ -234,6 +234,8 @@ class SESet:
         for m in models:
             if m.alphabet != alphabet:
                 raise ValueError(f"SE-interpretation {m!r} is not over alphabet {alphabet.atoms}")
+            if not bits and alphabet.atoms:  # one member costs 3^n bits: check the cap first
+                _check_enumerable(alphabet, None)
             bits |= 1 << _ternary(m.here.bits) + _ternary(m.there.bits)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "_bits", bits)
@@ -287,11 +289,11 @@ class SESet:
         return cls._of(alphabet, bits)
 
     def totals(self) -> "SESet":
-        """The total pair <J,J> for the J of every member <I,J>."""
-        bits, full = self._bits, self.alphabet.full_mask
-        for k in range(len(self.alphabet)):
+        """The total pair <J,J> for the J of every member <I,J>; the set exists, so n is its cap."""
+        bits, full, n = self._bits, self.alphabet.full_mask, len(self.alphabet)
+        for k in range(n):
             # members with atom k in J but not in I move from digit 1 to digit 2
-            moved = bits & SESet.where(self.alphabet, (0, full & ~(1 << k)), (1 << k, full))._bits
+            moved = bits & SESet.where(self.alphabet, (0, full & ~(1 << k)), (1 << k, full), n)._bits
             bits = bits ^ moved | moved << 3 ** k
         return SESet._of(self.alphabet, bits)
 

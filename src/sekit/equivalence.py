@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .core import (EPSILON, Alphabet, Interpretation, Program, Rule, SEInterpretation, SESet,
                    rule_key)
-from .semantics import se_models
+from .semantics import _canonical, se_models
 
 
 class EquivalenceNotion(Enum):
@@ -29,23 +29,24 @@ class EquivalenceNotion(Enum):
 
 
 def se_equivalent_rules(r1: Rule, r2: Rule, alphabet: Alphabet, cap: int | None = None) -> bool:
-    """Single-rule SE-equivalence: the two rules have the same SE-models."""
-    return se_models(r1, alphabet, cap) == se_models(r2, alphabet, cap)
+    """Single-rule SE-equivalence, decided by equal canonical forms; `cap` is unused."""
+    return _canonical(r1, alphabet) == _canonical(r2, alphabet)
 
 
 def _compare(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None) -> tuple:
-    """The four verdicts and, per program, the sets behind them: SE-models, rule family
-    (tautology adjoined), its minimal members; then the rules that are no SE-tautology.
-    Each rule's SE-model set is computed once."""
-    sets = {rule: se_models(rule, alphabet, cap) for rule in {EPSILON} | p1.rules | p2.rules}
-    models = [reduce(SESet.__and__, (sets[r] for r in p.rules), sets[EPSILON]) for p in (p1, p2)]
-    families = [frozenset(sets[r] for r in p.rules | {EPSILON}) for p in (p1, p2)]
-    minimal = [frozenset(s for s in f if not any(t < s for t in f)) for f in families]
-    untaut = [r for r in p1.rules ^ p2.rules if not sets[r].is_full()]
+    """The four verdicts and, for the witnesses, each rule's canonical form (the name of its
+    SE-class) and per program the SE-models, the canonical forms of the rule family (tautology
+    adjoined) and its minimal members; then the rules that are no SE-tautology."""
+    canon = {rule: _canonical(rule, alphabet) for rule in {EPSILON} | p1.rules | p2.rules}
+    sets = {c: se_models(c, alphabet, cap) for c in set(canon.values())}  # read by s and smr only
+    families = [frozenset(canon[r] for r in p.rules | {EPSILON}) for p in (p1, p2)]
+    models = [reduce(SESet.__and__, (sets[c] for c in f)) for f in families]
+    minimal = [frozenset(c for c in f if not any(sets[d] < sets[c] for d in f)) for f in families]
+    untaut = [r for r in p1.rules ^ p2.rules if canon[r] != EPSILON]
     verdicts = {EquivalenceNotion.S: models[0] == models[1],
                 EquivalenceNotion.SR: families[0] == families[1],
                 EquivalenceNotion.SMR: minimal[0] == minimal[1], EquivalenceNotion.SU: not untaut}
-    return verdicts, sets, models, families, minimal, untaut
+    return verdicts, canon, models, families, minimal, untaut
 
 
 def strongly_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
@@ -101,29 +102,27 @@ class EquivalenceReport:
         return all(self.verdicts[n] for n in wanted)
 
 
-def _family_witness(fam1: frozenset[SESet], fam2: frozenset[SESet], p1: Program, p2: Program,
-                    sets: Mapping[Rule, SESet]) -> FamilyWitness:
-    """The first rule, in rule order, behind the unmatched set that comes first in SESet order."""
-    s, side, program = min([(s, "left", p1) for s in fam1 - fam2]
-                           + [(s, "right", p2) for s in fam2 - fam1],
-                           key=lambda candidate: candidate[0].sort_key())
-    rule = min((r for r in program.rules | {EPSILON} if sets[r] == s), key=rule_key)
-    return FamilyWitness(rule, side)
+def _family_witness(fam1: frozenset[Rule], fam2: frozenset[Rule], p1: Program, p2: Program,
+                    canon: Mapping[Rule, Rule]) -> FamilyWitness:
+    """The first rule, in rule order, whose canonical form the other family lacks."""
+    left = [FamilyWitness(r, "left") for r in p1.rules | {EPSILON} if canon[r] in fam1 - fam2]
+    right = [FamilyWitness(r, "right") for r in p2.rules | {EPSILON} if canon[r] in fam2 - fam1]
+    return min(left + right, key=lambda witness: rule_key(witness.rule))
 
 
 def equivalence_report(p1: Program, p2: Program, alphabet: Alphabet,
                        cap: int | None = None) -> EquivalenceReport:
     """All four verdicts plus a distinguishing witness for every failure."""
-    verdicts, sets, (m1, m2), families, minimal, untaut = _compare(p1, p2, alphabet, cap)
+    verdicts, canon, (m1, m2), families, minimal, untaut = _compare(p1, p2, alphabet, cap)
     witnesses: dict[EquivalenceNotion, object] = {}
     if not verdicts[EquivalenceNotion.S]:
         here, there = next((m1 - m2 | m2 - m1).masks())  # the first in (there, here) order
         se = SEInterpretation(Interpretation(alphabet, here), Interpretation(alphabet, there))
         witnesses[EquivalenceNotion.S] = SEModelWitness(se, "left" if se in m1 else "right")
     if not verdicts[EquivalenceNotion.SR]:
-        witnesses[EquivalenceNotion.SR] = _family_witness(*families, p1, p2, sets)
+        witnesses[EquivalenceNotion.SR] = _family_witness(*families, p1, p2, canon)
     if not verdicts[EquivalenceNotion.SMR]:
-        witnesses[EquivalenceNotion.SMR] = _family_witness(*minimal, p1, p2, sets)
+        witnesses[EquivalenceNotion.SMR] = _family_witness(*minimal, p1, p2, canon)
     if untaut:
         bad = min(untaut, key=rule_key)
         side = "left" if bad in p1.rules else "right"

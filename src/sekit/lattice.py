@@ -105,15 +105,13 @@ def is_rule_representable(s: SESet, method: str = "induced",
         raise ValueError(f"unknown method {method!r} (expected induced, lattice or brute)")
     if s.is_full():
         return True, EPSILON
+    if method == "brute":
+        witness = brute_representable(s, cap=cap, rule_cap=rule_cap)
+        return witness is not None, witness
+    rule = induce_rule(s, cap)
     if method == "induced":
-        rule = induce_rule(s, cap)
         ok = s <= se_models(rule, s.alphabet, cap)
         return ok, (rule if ok else None)
-    if method == "lattice":
-        rule = induce_rule(s, cap)
-        l1, l2 = rule_to_countermodel_intervals(rule, s.alphabet)
-        bounds = [(l.bot.bits, l.top.bits) for l in (l1, l2)]
-        ok = _countermodels(s.alphabet, *bounds, cap) == s.complement(cap)
-        return ok, (intervals_to_rule(l1, l2, s.alphabet) if ok else None)
-    witness = brute_representable(s, cap=cap, rule_cap=rule_cap)
-    return witness is not None, witness
+    ok = _countermodels(s.alphabet, *_intervals(rule, s.alphabet), cap) == s.complement(cap)
+    return ok, (intervals_to_rule(*rule_to_countermodel_intervals(rule, s.alphabet), s.alphabet)
+                if ok else None)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
+from .canonical import secan
 from .core import Alphabet, EnumerationCapError, Rule, SESet
 from .reconstruct import induce_rule
 from .semantics import se_models
@@ -83,8 +84,8 @@ def closure_experiment(alphabet: Alphabet, op: str, cap: int | None = None,
     """Scan all unordered pairs of representable sets for closure under union or intersection."""
     if op not in ("union", "intersection"):
         raise ValueError(f"unknown closure operation {op!r} (expected union or intersection)")
-    representable = sorted({se_models(rule, alphabet, cap) for rule in enumerate_rules(alphabet, rule_cap)},
-                           key=SESet.sort_key)
+    names = {se_models(rule, alphabet, cap): secan(rule) for rule in enumerate_rules(alphabet, rule_cap)}
+    representable = sorted(names, key=SESet.sort_key)
     counterexamples = []
     pair_count = 0
     for s1, s2 in combinations_with_replacement(representable, 2):
@@ -92,5 +93,5 @@ def closure_experiment(alphabet: Alphabet, op: str, cap: int | None = None,
         merged = s1 | s2 if op == "union" else s1 & s2
         induced = induce_rule(merged, cap)
         if not merged <= se_models(induced, alphabet, cap):
-            counterexamples.append(ClosureCounterexample(induce_rule(s1, cap), induce_rule(s2, cap)))
+            counterexamples.append(ClosureCounterexample(names[s1], names[s2]))
     return ClosureReport(op, alphabet, len(representable), pair_count, tuple(counterexamples))

@@ -10,6 +10,7 @@ with no walk over the pairs.
 """
 from __future__ import annotations
 
+from .canonical import secan
 from .core import (EPSILON, Alphabet, Interpretation, Program, Rule, SEInterpretation,
                    SESet, all_interpretations)
 
@@ -93,8 +94,15 @@ def se_models_program(program: Program, alphabet: Alphabet, cap: int | None = No
     return models
 
 
+def _canonical(rule: Rule, alphabet: Alphabet) -> Rule:
+    """secan(rule), the name of its SE-class, once its atoms are known to be in scope."""
+    _masks(rule, alphabet)
+    return secan(rule)
+
+
 def is_se_tautology(rule: Rule, alphabet: Alphabet, cap: int | None = None) -> bool:
-    return se_models(rule, alphabet, cap).is_full()
+    """Every SE-interpretation is a model, decided from the canonical form; `cap` is unused."""
+    return _canonical(rule, alphabet) == EPSILON
 
 
 def is_well_defined(se_set: SESet) -> bool:

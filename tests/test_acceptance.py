@@ -133,3 +133,12 @@ def test_criterion_8_parser_round_trip():
     ok = all(parse_rule(print_rule(r)) == r for r in enumerate_rules(L2))
     ok = ok and parse_rule(print_rule(EPSILON)) == EPSILON
     _report(8, "parser round trip", ok, time.perf_counter() - start, 5.0)
+
+
+def test_criterion_9_report_at_twelve_atoms():
+    start = time.perf_counter()
+    left, _ = parse_program("a :- b. c ; d :- not e. f :- g, not h.")
+    right, _ = parse_program("a :- b. c :- not e, not d.")
+    report = equivalence_report(left, right, Alphabet(tuple("abcdefghijkl")))
+    ok = not any(report.verdicts.values())
+    _report(9, "equivalence report at 12 atoms", ok, time.perf_counter() - start, 1.0)

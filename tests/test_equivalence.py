@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given
 
 import strategies
-from sekit import (EPSILON, Alphabet, EquivalenceNotion, FamilyWitness, Program,
+from sekit import (EPSILON, Alphabet, EquivalenceNotion, FamilyWitness, Program, ScopeError,
                    SEModelWitness, TautologyWitness, equivalence_report, is_se_tautology,
                    parse_program, parse_rule, se_equivalent_rules, se_models,
                    se_models_program, secan, smr_equivalent, sr_equivalent,
@@ -30,7 +31,7 @@ def test_se_equivalent_rules_examples():
 
 @given(strategies.rules(), strategies.rules())
 def test_se_equivalence_paths_agree(r1, r2):
-    assert se_equivalent_rules(r1, r2, L3) == (secan(r1) == secan(r2))
+    assert se_equivalent_rules(r1, r2, L3) == (se_models(r1, L3) == se_models(r2, L3))
 
 
 def test_strong_equivalence_examples():
@@ -143,7 +144,7 @@ def test_report_verdicts_match_the_public_functions_and_the_program_semantics():
                             EquivalenceNotion.SU: su_equivalent(p1, p2, L3)}
         assert verdicts[EquivalenceNotion.S] == (se_models_program(p1, L3)
                                                  == se_models_program(p2, L3))
-        assert verdicts[EquivalenceNotion.SU] == all(is_se_tautology(r, L3)
+        assert verdicts[EquivalenceNotion.SU] == all(se_models(r, L3).is_full()
                                                      for r in p1.rules ^ p2.rules)
 
 
@@ -164,4 +165,36 @@ def test_report_computes_each_rule_set_once(monkeypatch):
     assert (len(p1), len(p2)) == (5, 4)
     report = equivalence_report(p1, p2, Alphabet(tuple("pqrs")))
     assert not any(report.verdicts.values())  # every witness is searched for
-    assert len(calls) <= len(p1.rules | p2.rules) + 1  # the tautology's full set
+    variants = prog("p :- q. r :- s."), prog("p ; not q :- q. s.")  # SE-equal first rules
+    for left, right in ((p1, p2), variants):
+        calls.clear()
+        equivalence_report(left, right, Alphabet(tuple("pqrs")))
+        forms = {secan(r) for r in left.rules | right.rules} | {EPSILON}  # the tautology's full set
+        assert len(calls) <= len(forms)
+
+
+def test_rule_functions_check_scope_and_need_no_se_set():
+    taut = parse_rule("z :- z.")  # secan drops z
+    for call in (lambda: is_se_tautology(taut, L2), lambda: se_equivalent_rules(taut, EPSILON, L2),
+                 lambda: equivalence_report(Program({taut}), Program(), L2)):
+        with pytest.raises(ScopeError, match="'z'"):
+            call()
+    wide = Alphabet(tuple("abcdefghijklmnopqrstuvwxyz"))  # 3^26 pairs, over the cap
+    assert is_se_tautology(parse_rule("not a ; b :- not a."), wide)
+    assert not is_se_tautology(parse_rule("a :- z."), wide)
+    assert se_equivalent_rules(parse_rule("a ; not b :- b."), parse_rule("a :- b."), wide)
+    assert not se_equivalent_rules(parse_rule("a :- b."), parse_rule("b :- a."), wide)
+
+
+def test_family_witness_needs_no_se_set_order(monkeypatch):
+    import sekit.core
+
+    def refuse(self):
+        raise AssertionError("SESet.sort_key called")
+
+    monkeypatch.setattr(sekit.core.SESet, "sort_key", refuse)
+    left = prog("a :- b. c ; d :- not e. f :- g, not h.")
+    right = prog("a :- b. c :- not e, not d.")
+    report = equivalence_report(left, right, Alphabet(tuple("abcdefgh")))
+    witness = FamilyWitness(parse_rule("c :- not d, not e."), "right")
+    assert report.witnesses[EquivalenceNotion.SR] == report.witnesses[EquivalenceNotion.SMR] == witness

@@ -10,7 +10,7 @@ from hypothesis import given
 
 import naive
 import strategies
-from sekit import (EPSILON, Alphabet, Interpretation, Program, Rule, ScopeError,
+from sekit import (EPSILON, Alphabet, EnumerationCapError, Interpretation, Program, Rule, ScopeError,
                    SEInterpretation, SESet, answer_sets, c_models, is_c_model,
                    is_se_model, is_se_tautology, is_well_defined, parse_program,
                    parse_rule, reduct, se_models, se_models_program)
@@ -144,6 +144,12 @@ def test_se_tautology_examples():
     assert is_se_tautology(parse_rule("p :- q, not q."), L2)
 
 
+def test_se_tautology_matches_the_full_se_set():
+    for alphabet in (L2, L3):
+        for rule in (EPSILON, *enumerate_rules(alphabet)):
+            assert is_se_tautology(rule, alphabet) == se_models(rule, alphabet).is_full(), rule
+
+
 def _subsets():
     return [frozenset(), frozenset({"p"}), frozenset({"q"}), frozenset({"p", "q"})]
 
@@ -200,6 +206,18 @@ def test_answer_set_examples():
     disjunctive, _ = parse_program("p; q.")
     assert {frozenset(j.atoms()) for j in answer_sets(disjunctive, L2)} \
         == {frozenset({"p"}), frozenset({"q"})}
+
+
+def test_sets_built_under_a_cap_keep_it(monkeypatch):
+    import sekit.core
+    program, _ = parse_program("p :- not q. q :- not p. r :- p.")
+    expected = answer_sets(program, L3)
+    monkeypatch.setattr(sekit.core, "DEFAULT_ENUMERATION_CAP", 2)
+    assert is_well_defined(se_models_program(program, L3, cap=3))
+    assert answer_sets(program, L3, cap=3) == expected
+    with pytest.raises(EnumerationCapError, match="cap of 2"):  # before a 3^n-bit member
+        SESet(L3, [SEInterpretation(interp(L3, []), interp(L3, ["p"]))])
+    assert len(SESet(L3)) == 0
 
 
 @given(strategies.programs())
