@@ -289,13 +289,8 @@ class SESet:
         return cls._of(alphabet, bits)
 
     def totals(self) -> "SESet":
-        """The total pair <J,J> for the J of every member <I,J>; the set exists, so n is its cap."""
-        bits, full, n = self._bits, self.alphabet.full_mask, len(self.alphabet)
-        for k in range(n):
-            # members with atom k in J but not in I move from digit 1 to digit 2
-            moved = bits & SESet.where(self.alphabet, (0, full & ~(1 << k)), (1 << k, full), n)._bits
-            bits = bits ^ moved | moved << 3 ** k
-        return SESet._of(self.alphabet, bits)
+        """The total pair <J,J> for the J of every member <I,J>."""
+        return SESet._of(self.alphabet, _totals(self._bits, len(self.alphabet)))
 
     def is_full(self) -> bool:
         return len(self) == 3 ** len(self.alphabet)
@@ -317,6 +312,30 @@ class SESet:
                 if i == j:
                     break
                 i = (i - j) & j
+
+    def index_masks(self) -> Iterator[tuple[int, int]]:
+        """(here, there) bit masks of the members in index order, at a cost that
+        follows the member count rather than 3^n.
+
+        The set splits into thirds by the top atom's digit; each nonempty third
+        is a set over one atom fewer and splits in turn, down to single members.
+        """
+        stack = [(self._bits, len(self.alphabet), 0, 0)] if self._bits else []
+        while stack:
+            bits, k, here, there = stack.pop()
+            if not k:
+                yield here, there
+                continue
+            k -= 1
+            step, bit = 3 ** k, 1 << k
+            mask = (1 << step) - 1
+            # pushed in reverse, so digit 0 (outside J) pops first and digit 2 (in I) last
+            if hi := bits >> 2 * step:
+                stack.append((hi, k, here | bit, there | bit))
+            if mid := bits >> step & mask:
+                stack.append((mid, k, here, there | bit))
+            if lo := bits & mask:
+                stack.append((lo, k, here, there))
 
     def sorted_models(self) -> list[SEInterpretation]:
         interps = [Interpretation(self.alphabet, x) for x in range(1 << len(self.alphabet))]
@@ -368,6 +387,29 @@ class SESet:
 
     def __lt__(self, other: "SESet") -> bool:
         return self <= other and self._bits != other._bits
+
+
+# totals() of every set over atoms 0 and 1, one step of the fold below applied to the
+# one-atom table. A one-atom set has the bits of the two-atom set with atom 1 outside J,
+# so it reads the same table.
+_TOTALS_OF_ONE_ATOM = (0, 1, 4, 5, 4, 5, 4, 5)
+_TOTALS_OF_TWO_ATOMS = tuple(
+    _TOTALS_OF_ONE_ATOM[v & 7] | _TOTALS_OF_ONE_ATOM[(v >> 3 | v >> 6) & 7] << 6 for v in range(512))
+
+
+def _totals(bits: int, k: int) -> int:
+    """totals() of the set `bits` over atoms 0..k-1, one fold over the top atom's thirds.
+
+    Members with the top atom outside J (digit 0) keep it outside; the other
+    two thirds have it in J, so their totals land on digit 2.
+    """
+    if k <= 2:
+        return _TOTALS_OF_TWO_ATOMS[bits]
+    step = 3 ** (k - 1)
+    mask = (1 << step) - 1
+    lo, up = bits & mask, (bits >> step | bits >> 2 * step) & mask
+    out = _totals(lo, k - 1) if lo else 0
+    return out | _totals(up, k - 1) << 2 * step if up else out
 
 
 def _check_enumerable(alphabet: Alphabet, cap: int | None) -> int:

@@ -113,6 +113,6 @@ def is_well_defined(se_set: SESet) -> bool:
 def answer_sets(program: Program, alphabet: Alphabet, cap: int | None = None) -> frozenset[Interpretation]:
     """Total SE-models <J,J> of the program with no proper <I,J> below them."""
     s = se_models_program(program, alphabet, cap)
-    answers = s.totals() - (s - s.totals()).totals()
-    return frozenset(j for j in all_interpretations(alphabet, cap)
-                     if SEInterpretation(j, j) in answers)
+    totals = s.totals()
+    answers = totals - (s - totals).totals()
+    return frozenset(Interpretation(alphabet, there) for _, there in answers.index_masks())

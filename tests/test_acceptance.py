@@ -10,7 +10,7 @@ import time
 from itertools import product
 
 import strategies
-from sekit import (EPSILON, Alphabet, EquivalenceNotion, Rule, c_models,
+from sekit import (EPSILON, Alphabet, EquivalenceNotion, Rule, answer_sets, c_models,
                    equivalence_report, induce_rule, is_canonical,
                    is_rule_representable, is_se_tautology, is_well_defined,
                    parse_program, parse_rule, print_rule, se_models,
@@ -142,3 +142,11 @@ def test_criterion_9_report_at_twelve_atoms():
     report = equivalence_report(left, right, Alphabet(tuple("abcdefghijkl")))
     ok = not any(report.verdicts.values())
     _report(9, "equivalence report at 12 atoms", ok, time.perf_counter() - start, 1.0)
+
+
+def test_criterion_10_answer_sets_at_sixteen_atoms():
+    start = time.perf_counter()
+    program, _ = parse_program("a :- b. c ; d :- not e. f :- g, not h.")
+    answers = answer_sets(program, Alphabet(tuple("abcdefghijklmnop")))
+    ok = {frozenset(j.atoms()) for j in answers} == {frozenset("c"), frozenset("d")}
+    _report(10, "answer sets at 16 atoms", ok, time.perf_counter() - start, 0.8)

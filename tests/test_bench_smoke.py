@@ -1,4 +1,5 @@
-"""The benchmark's rule-roundtrip batch runs against this checkout with every op correct."""
+"""The benchmark's rule-roundtrip and program-edit batches run against this checkout with
+every op correct."""
 from __future__ import annotations
 
 import json
@@ -6,11 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_rule_roundtrip_batch_has_no_failed_or_wrong_op():
-    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "worker.py"), "rule-roundtrip",
+@pytest.mark.parametrize("workload", ["rule-roundtrip", "program-edit"])
+def test_batch_has_no_failed_or_wrong_op(workload):
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "worker.py"), workload,
                            "1", "0", "0"], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])

@@ -100,6 +100,20 @@ def test_induce_not_representable(capsys, tmp_path):
     assert out.splitlines() == ["rule: :-.", "representable: no"]
 
 
+def test_induce_induces_once(capsys, tmp_path, monkeypatch):
+    import sekit.cli
+    calls = []
+    induce = sekit.cli.induce_rule
+    monkeypatch.setattr(sekit.cli, "induce_rule", lambda *args: calls.append(args) or induce(*args))
+    monkeypatch.setattr("sekit.lattice.induce_rule", sekit.cli.induce_rule)
+    path = tmp_path / "set.json"
+    for atoms, code in (["p"], 0), (["p", "q"], 1):
+        path.write_text(json.dumps({"alphabet": atoms, "models": [[atoms, atoms]]}))
+        calls.clear()
+        assert run(capsys, "induce", str(path))[0] == code
+        assert len(calls) == 1
+
+
 def test_induce_json_format(capsys, tmp_path):
     path = tmp_path / "set.json"
     path.write_text(json.dumps({"alphabet": ["p"], "models": []}))

@@ -162,8 +162,37 @@ def test_se_set_algebra_matches_frozensets():
         assert sx.sorted_models() == sorted(x, key=SEInterpretation.sort_key)
         masks = [(m.here.bits, m.there.bits) for m in sx.sorted_models()]
         assert list(sx.masks()) == masks
+        assert sorted(sx.index_masks()) == sorted(masks)
         assert SESet.from_masks(a, masks[::-1] + masks) == sx
         assert (sx == sy) == (x == y)
+
+
+def test_totals_matches_its_definition():
+    def by_definition(s):
+        return SESet(s.alphabet, {SEInterpretation(m.there, m.there) for m in s.models})
+
+    pairs = all_se_interpretations(Alphabet(("p", "q")))
+    for bits in range(1 << len(pairs)):
+        s = SESet(Alphabet(("p", "q")), (m for k, m in enumerate(pairs) if bits >> k & 1))
+        assert s.totals() == by_definition(s)
+    rng = random.Random(31)
+    for n in (3, 4, 5):
+        a = Alphabet(tuple("pqrst"[:n]))
+        pairs = all_se_interpretations(a)
+        for _ in range(40):
+            s = SESet(a, rng.sample(pairs, rng.randint(0, len(pairs) // 4)))
+            assert s.totals() == by_definition(s)
+
+
+def test_index_masks_run_in_index_order():
+    a = Alphabet(("p", "q", "r"))
+    pairs = all_se_interpretations(a)
+    rng = random.Random(33)
+    for _ in range(50):
+        s = SESet(a, rng.sample(pairs, rng.randint(1, 27)))
+        index = [int(f"{here:b}", 3) + int(f"{there:b}", 3) for here, there in s.index_masks()]
+        assert index == sorted(index)
+    assert list(SESet(Alphabet(())).index_masks()) == []
 
 
 def test_from_masks_checks_pairs_and_cap():

@@ -225,3 +225,18 @@ def test_answer_sets_agree_with_reduct_oracle(program):
     L3 = Alphabet(("p", "q", "r"))
     fast = {frozenset(j.atoms()) for j in answer_sets(program, L3)}
     assert fast == naive.answer_sets(list(program), ("p", "q", "r"))
+
+
+
+def test_answer_sets_agree_with_reduct_oracle_over_four_and_five_atoms():
+    rng = random.Random(41)
+    for atoms in ("pqrs", "pqrst"):
+        for _ in range(60):
+            rules = []
+            for _ in range(rng.randint(1, 6)):
+                head, body = rng.sample(atoms, rng.randint(0, 2)), rng.sample(atoms, rng.randint(0, 3))
+                cut = rng.randint(0, len(body))
+                rules.append(Rule(head_pos=head, head_neg=rng.sample(atoms, rng.random() < 0.2),
+                                  body_pos=body[:cut], body_neg=body[cut:]))
+            fast = {frozenset(j.atoms()) for j in answer_sets(Program(rules), Alphabet(tuple(atoms)))}
+            assert fast == naive.answer_sets(rules, tuple(atoms))
