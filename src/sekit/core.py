@@ -270,23 +270,19 @@ class SESet:
     @classmethod
     def where(cls, alphabet: Alphabet, here: tuple[int, int], there: tuple[int, int],
               cap: int | None = None) -> "SESet":
-        """Pairs <I,J> with I in the interval `here` and J in the interval `there`.
+        """Pairs <I,J> with I in the interval `here` and J in the interval `there`, each a
+        (bottom, top) pair of bit masks and empty when the bottom is not below the top."""
+        return cls._of(alphabet, _product(_check_enumerable(alphabet, cap), here, there))
 
-        An interval is a (bottom, top) pair of bit masks and is empty when
-        the bottom is not below the top. The set over atoms 0..k-1 fills the
-        indices below 3^k; atom k keeps one shifted copy of it for each digit
-        the two intervals allow.
-        """
-        n = _check_enumerable(alphabet, cap)
-        (i_bot, i_top), (j_bot, j_top) = here, there
-        # the atoms that may take digit 0 (outside J), 1 (in J, not in I) and 2 (in I)
-        zero, one, two = ~(i_bot | j_bot), ~i_bot & j_top, i_top & j_top
-        bits = 1
-        for k in range(n):
-            step = 3 ** k
-            bits = ((bits if zero >> k & 1 else 0) | (bits << step if one >> k & 1 else 0)
-                    | (bits << 2 * step if two >> k & 1 else 0))
-        return cls._of(alphabet, bits)
+    @classmethod
+    def excluding(cls, alphabet: Alphabet, products: Iterable[tuple[tuple[int, int], tuple[int, int]]],
+                  cap: int | None = None) -> "SESet":
+        """The full set minus the union of the products, each a (here, there) pair of
+        intervals as in `where`. The cap is checked before `products` is read."""
+        n, out = _check_enumerable(alphabet, cap), 0
+        for here, there in products:
+            out |= _product(n, here, there)
+        return cls._of(alphabet, (1 << 3 ** n) - 1 ^ out)  # out lies below 3^n, so ^ removes it
 
     def totals(self) -> "SESet":
         """The total pair <J,J> for the J of every member <I,J>."""
@@ -410,6 +406,23 @@ def _totals(bits: int, k: int) -> int:
     lo, up = bits & mask, (bits >> step | bits >> 2 * step) & mask
     out = _totals(lo, k - 1) if lo else 0
     return out | _totals(up, k - 1) << 2 * step if up else out
+
+
+def _product(n: int, here: tuple[int, int], there: tuple[int, int]) -> int:
+    """Bits of the pairs <I,J> over atoms 0..n-1 with I in `here` and J in `there`. The set
+    over atoms 0..k-1 fills the indices below 3^k; atom k keeps one shifted copy of it for
+    each digit the two intervals allow."""
+    (i_bot, i_top), (j_bot, j_top) = here, there
+    # the atoms that may take digit 0 (outside J), 1 (in J, not in I) and 2 (in I)
+    zero, one, two = ~(i_bot | j_bot), ~i_bot & j_top, i_top & j_top
+    if ~(zero | one | two) & ((1 << n) - 1):  # an atom that can take no digit: no pair
+        return 0
+    bits = 1
+    for k in range(n):
+        step = 3 ** k
+        bits = ((bits if zero >> k & 1 else 0) | (bits << step if one >> k & 1 else 0)
+                | (bits << 2 * step if two >> k & 1 else 0))
+    return bits
 
 
 def _check_enumerable(alphabet: Alphabet, cap: int | None) -> int:

@@ -16,7 +16,7 @@ from .core import (EPSILON, Alphabet, Interpretation, Rule, SEInterpretation, SE
                    all_interpretations)
 from .oracle import brute_representable
 from .reconstruct import induce_rule
-from .semantics import _countermodels, _intervals, se_models
+from .semantics import _masks, _products_of, se_models
 
 
 @dataclass(frozen=True)
@@ -57,17 +57,17 @@ def rule_to_countermodel_intervals(rule: Rule, alphabet: Alphabet) -> tuple[Inte
     """The two intervals carving out the rule's SE-countermodels; empty pair for the tautology."""
     if rule.is_epsilon:
         return Interval.empty(alphabet), Interval.empty(alphabet)
-    l1, l2 = (Interval(Interpretation(alphabet, bot), Interpretation(alphabet, top))
-              for bot, top in _intervals(rule, alphabet))
-    return l1, l2
+    l1_by_l2, _ = _products_of(_masks(rule, alphabet))
+    return tuple(Interval(Interpretation(alphabet, bot), Interpretation(alphabet, top & alphabet.full_mask))
+                 for bot, top in l1_by_l2)
 
 
 def interval_countermodels(l1: Interval, l2: Interval, cap: int | None = None) -> frozenset[SEInterpretation]:
     """SE-interpretations excluded by the interval pair."""
     if l1.alphabet != l2.alphabet:
         raise ValueError("intervals over different alphabets")
-    bounds = [(l.bot.bits, l.top.bits) for l in (l1, l2)]
-    return frozenset(_countermodels(l1.alphabet, *bounds, cap))
+    rule = intervals_to_rule(l1, l2, l1.alphabet)  # its countermodels are the ones the pair carves out
+    return frozenset(se_models(rule, l1.alphabet, cap).complement(cap))
 
 
 def intervals_to_rule(l1: Interval, l2: Interval, alphabet: Alphabet) -> Rule:
@@ -112,6 +112,6 @@ def is_rule_representable(s: SESet, method: str = "induced",
     if method == "induced":
         ok = s <= se_models(rule, s.alphabet, cap)
         return ok, (rule if ok else None)
-    ok = _countermodels(s.alphabet, *_intervals(rule, s.alphabet), cap) == s.complement(cap)
+    ok = SESet.excluding(s.alphabet, _products_of(_masks(rule, s.alphabet)), cap) == s
     return ok, (intervals_to_rule(*rule_to_countermodel_intervals(rule, s.alphabet), s.alphabet)
                 if ok else None)

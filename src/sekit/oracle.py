@@ -3,19 +3,31 @@
 Everything here is brute force on purpose; the point is to cross-check the
 structural machinery against raw enumeration at desk scale. Rule enumeration
 is capped separately (default 3 atoms, 16^n rules) from interpretation
-enumeration.
+enumeration. The sweeps enumerate (H+, H-, B+, B-) mask quadruples, not
+rules, and build a rule only where one is returned or named.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
+from typing import Iterator
 
 from .canonical import secan
 from .core import Alphabet, EnumerationCapError, Rule, SESet
-from .semantics import se_models
+from .semantics import Masks, _products_of
 
 DEFAULT_RULE_ENUMERATION_CAP = 3
+
+
+def _quadruples(alphabet: Alphabet, cap: int | None) -> Iterator[Masks]:
+    """(H+, H-, B+, B-) masks of all 16^n proper rules in the order of `enumerate_rules`,
+    once the rule cap is checked."""
+    limit = DEFAULT_RULE_ENUMERATION_CAP if cap is None else cap
+    if len(alphabet) > limit:
+        raise EnumerationCapError(
+            f"alphabet has {len(alphabet)} atoms, exceeding the rule enumeration cap of {limit}")
+    return product(range(1 << len(alphabet)), repeat=4)
 
 
 def enumerate_rules(alphabet: Alphabet, cap: int | None = None) -> tuple[Rule, ...]:
@@ -24,37 +36,34 @@ def enumerate_rules(alphabet: Alphabet, cap: int | None = None) -> tuple[Rule, .
     Each atom lands independently in any subset of the four rule parts. The
     canonical tautology is not included.
     """
-    n = len(alphabet)
-    limit = DEFAULT_RULE_ENUMERATION_CAP if cap is None else cap
-    if n > limit:
-        raise EnumerationCapError(
-            f"alphabet has {n} atoms, exceeding the rule enumeration cap of {limit}")
-    subsets = [alphabet.atoms_of(bits) for bits in range(1 << n)]
-    return tuple(Rule(head_pos=hp, head_neg=hn, body_pos=bp, body_neg=bn)
-                 for hp, hn, bp, bn in product(subsets, repeat=4))
+    quadruples = _quadruples(alphabet, cap)
+    subsets = [alphabet.atoms_of(bits) for bits in range(1 << len(alphabet))]
+    return tuple(Rule(*(subsets[m] for m in masks)) for masks in quadruples)
 
 
-@lru_cache(maxsize=32)
-def _se_index(alphabet: Alphabet, cap: int | None, rule_cap: int | None) -> dict:
-    """First rule in enumeration order for each representable SE-model set."""
-    index: dict = {}
-    for rule in enumerate_rules(alphabet, rule_cap):
-        index.setdefault(se_models(rule, alphabet, cap), rule)
-    return index
+def _classes(alphabet: Alphabet, cap: int | None, rule_cap: int | None) -> dict[SESet, Masks]:
+    """Each representable SE-model set, mapped to the masks of the first rule in
+    enumeration order that has it. No rule object is built."""
+    classes: dict[SESet, Masks] = {}
+    for masks in _quadruples(alphabet, rule_cap):
+        classes.setdefault(SESet.excluding(alphabet, _products_of(masks), cap), masks)
+    return classes
+
+
+_se_index = lru_cache(maxsize=32)(_classes)
 
 
 def brute_representable(s: SESet, cap: int | None = None,
                         rule_cap: int | None = None) -> Rule | None:
     """First enumerated rule whose SE-models are exactly S, if any."""
-    return _se_index(s.alphabet, cap, rule_cap).get(s)
+    masks = _se_index(s.alphabet, cap, rule_cap).get(s)
+    return None if masks is None else Rule(*map(s.alphabet.atoms_of, masks))
 
 
 def count_se_classes(alphabet: Alphabet, cap: int | None = None,
                      rule_cap: int | None = None) -> int:
     """Number of distinct SE-model sets over the alphabet, tautology class included."""
-    distinct = {se_models(rule, alphabet, cap) for rule in enumerate_rules(alphabet, rule_cap)}
-    distinct.add(SESet.full(alphabet, cap))
-    return len(distinct)
+    return len(_classes(alphabet, cap, rule_cap).keys() | {SESet.full(alphabet, cap)})
 
 
 @dataclass(frozen=True)
@@ -83,7 +92,8 @@ def closure_experiment(alphabet: Alphabet, op: str, cap: int | None = None,
     """Scan all unordered pairs of representable sets for closure under union or intersection."""
     if op not in ("union", "intersection"):
         raise ValueError(f"unknown closure operation {op!r} (expected union or intersection)")
-    names = {se_models(rule, alphabet, cap): secan(rule) for rule in enumerate_rules(alphabet, rule_cap)}
+    names = {s: secan(Rule(*map(alphabet.atoms_of, masks)))
+             for s, masks in _classes(alphabet, cap, rule_cap).items()}
     representable = sorted(names, key=SESet.sort_key)
     counterexamples = []
     pair_count = 0

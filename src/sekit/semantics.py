@@ -4,17 +4,22 @@ A rule is read as the classical implication  or(head) <- and(body)  where an
 empty disjunction is falsity and an empty conjunction is truth. <I,J> is an
 SE-model of r when J classically satisfies r and I satisfies the reduct of r
 under J. `is_c_model`, `reduct` and `is_se_model` state that definition pair
-by pair; `se_models` instead removes the rule's two countermodel products
-(see the lattice module) from the full SE-set, a few integer operations
-with no walk over the pairs.
+by pair. `se_models` instead computes the SE-set from the rule's four
+(H+, H-, B+, B-) masks in one kernel call, `SESet.excluding`: the full set
+minus the rule's two countermodel products (see the lattice module), a few
+integer operations with no walk over the pairs. A program's SE-set is one
+such call over the products of all its rules.
 """
 from __future__ import annotations
+
+from typing import Iterable, Iterator
 
 from .canonical import secan
 from .core import (EPSILON, Alphabet, Interpretation, Program, Rule, SEInterpretation,
                    SESet, all_interpretations)
 
 Masks = tuple[int, int, int, int]
+Product = tuple[tuple[int, int], tuple[int, int]]  # (here, there) intervals of (bottom, top) masks
 
 
 def _masks(rule: Rule, alphabet: Alphabet) -> Masks:
@@ -62,36 +67,30 @@ def is_se_model(rule: Rule, se: SEInterpretation) -> bool:
     return is_c_model(rule, se.there) and is_c_model(reduct(rule, se.there), se.here)
 
 
-def _intervals(rule: Rule, alphabet: Alphabet) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(bottom, top) masks of a proper rule's countermodel intervals
-    L1 = [B+, L \\ H+] and L2 = [H- u B+, L \\ B-]."""
-    hp, hn, bp, bn = _masks(rule, alphabet)
-    full = alphabet.full_mask
-    return (bp, full & ~hp), (hn | bp, full & ~bn)
+def _products_of(masks: Masks) -> tuple[Product, Product]:
+    """The countermodel products L1 x L2 and all x (L1 n L2) of the proper rule with
+    (H+, H-, B+, B-) masks `masks`, where L1 = [B+, L \\ H+] and L2 = [H- u B+, L \\ B-].
+    A top may set bits above the alphabet; no pair reads them."""
+    hp, hn, bp, bn = masks
+    return ((bp, ~hp), (hn | bp, ~bn)), ((0, -1), (hn | bp, ~(hp | bn)))
 
 
-def _countermodels(alphabet: Alphabet, l1: tuple[int, int], l2: tuple[int, int],
-                   cap: int | None) -> SESet:
-    """Pairs <I,J> with J in l2 and I or J in l1, each interval a (bottom, top) mask pair."""
-    (bot1, top1), (bot2, top2) = l1, l2
-    return (SESet.where(alphabet, l1, l2, cap)
-            | SESet.where(alphabet, (0, alphabet.full_mask), (bot1 | bot2, top1 & top2), cap))
+def _rule_products(rules: Iterable[Rule], alphabet: Alphabet) -> Iterator[Product]:
+    """The countermodel products of the proper rules, computed as they are read, so
+    that the cap is checked before any rule's scope."""
+    for rule in rules:
+        if not rule.is_epsilon:
+            yield from _products_of(_masks(rule, alphabet))
 
 
 def se_models(rule: Rule, alphabet: Alphabet, cap: int | None = None) -> SESet:
     """All SE-models of a single rule over the alphabet."""
-    full = SESet.full(alphabet, cap)
-    if rule.is_epsilon:
-        return full
-    return full - _countermodels(alphabet, *_intervals(rule, alphabet), cap)
+    return SESet.excluding(alphabet, _rule_products((rule,), alphabet), cap)
 
 
 def se_models_program(program: Program, alphabet: Alphabet, cap: int | None = None) -> SESet:
     """Intersection of the rules' SE-model sets; everything for the empty program."""
-    models = SESet.full(alphabet, cap)
-    for rule in program:
-        models &= se_models(rule, alphabet, cap)
-    return models
+    return SESet.excluding(alphabet, _rule_products(program, alphabet), cap)
 
 
 def _canonical(rule: Rule, alphabet: Alphabet) -> Rule:

@@ -6,6 +6,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from sekit import (Alphabet, Interpretation, SEInterpretation, SESet, all_se_interpretations,
                    print_rule, se_models)
@@ -307,3 +309,25 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["models"])
     assert err.value.code == 2
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+                 | st.text(max_size=4) | st.sampled_from(["p", "q", "r", "P", "not"]))
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=4)
+                            | st.dictionaries(st.text(max_size=8), inner, max_size=3), max_leaves=12)
+_SIDES = st.lists(st.sampled_from(["p", "q", "r", "s"]) | _JSON_VALUES, max_size=3) | _JSON_VALUES
+_DOCUMENTS = st.fixed_dictionaries(
+    {"alphabet": st.lists(st.sampled_from(["p", "q", "r"]) | _JSON_VALUES, max_size=4) | _JSON_VALUES,
+     "models": st.lists(st.lists(_SIDES, max_size=3) | _JSON_VALUES, max_size=4) | _JSON_VALUES})
+
+
+@seed(2011)
+@settings(max_examples=150)
+@given(st.one_of(_JSON_VALUES, _DOCUMENTS))
+def test_se_set_documents_fail_only_with_a_value_error(doc):
+    # at most four atoms (four distinct names), so a set stays small
+    try:
+        s = parse_se_set_document(doc)
+    except ValueError:
+        return
+    assert parse_se_set_document(json.loads(json.dumps(se_set_document(s)))) == s

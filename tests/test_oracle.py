@@ -1,15 +1,45 @@
 """Exhaustive sweeps: rule enumeration, class census, closure scans."""
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 import pytest
 
-from sekit import (Alphabet, EnumerationCapError, Rule, SESet, brute_representable,
-                   closure_experiment, count_se_classes, enumerate_rules, is_canonical,
-                   parse_rule, print_rule, se_models)
-from test_reconstruct import subset_of_pairs
+import sekit.core
+import sekit.oracle
+from sekit import (Alphabet, ClosureCounterexample, ClosureReport, EnumerationCapError, Rule,
+                   SESet, brute_representable, closure_experiment, count_se_classes,
+                   enumerate_rules, is_canonical, parse_rule, print_rule, se_models, secan)
+from test_reconstruct import all_se_subsets, subset_of_pairs
 
 L1 = Alphabet(("p",))
 L2 = Alphabet(("p", "q"))
+L3 = Alphabet(("p", "q", "r"))
+L4 = Alphabet(("p", "q", "r", "s"))
+
+
+# Rule-path references: the sweeps as they read when every rule was built and
+# passed through se_models.
+
+def reference_census(alphabet):
+    return len({se_models(rule, alphabet) for rule in enumerate_rules(alphabet)}
+               | {SESet.full(alphabet)})
+
+
+def reference_witnesses(alphabet):
+    first = {}
+    for rule in enumerate_rules(alphabet):
+        first.setdefault(se_models(rule, alphabet), rule)
+    return first
+
+
+def reference_closure(alphabet, op):
+    names = {se_models(rule, alphabet): secan(rule) for rule in enumerate_rules(alphabet)}
+    representable = sorted(names, key=SESet.sort_key)
+    pairs = list(combinations_with_replacement(representable, 2))
+    counterexamples = tuple(ClosureCounterexample(names[s1], names[s2]) for s1, s2 in pairs
+                            if (s1 | s2 if op == "union" else s1 & s2) not in names)
+    return ClosureReport(op, alphabet, len(representable), len(pairs), counterexamples)
 
 
 def test_enumerate_rules_counts():
@@ -91,3 +121,54 @@ def test_closure_reports_are_deterministic():
 def test_closure_rejects_unknown_op():
     with pytest.raises(ValueError):
         closure_experiment(L1, "xor")
+
+
+def test_sweeps_match_the_rule_path_reference():
+    for alphabet in (L1, L2, L3):
+        assert count_se_classes(alphabet) == reference_census(alphabet)
+    for alphabet in (L1, L2):
+        for op in ("union", "intersection"):
+            assert closure_experiment(alphabet, op) == reference_closure(alphabet, op)
+
+
+def test_brute_witness_is_the_first_rule_in_enumeration_order():
+    first = reference_witnesses(L2)
+    for s in all_se_subsets(L2):
+        assert brute_representable(s) == first.get(s), s
+    assert brute_representable(SESet.full(L1)) == parse_rule(":- p, not p.")
+
+
+def test_census_over_four_atoms():
+    assert count_se_classes(L4, rule_cap=4) == 6 ** 4 - 4 ** 4 + 3 ** 4 + 1 == 1122
+
+
+def test_census_builds_no_rule(monkeypatch):
+    built = []
+    post_init = Rule.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census called se_models")
+
+    monkeypatch.setattr(Rule, "__post_init__", counting)
+    monkeypatch.setattr(sekit.oracle, "se_models", refuse, raising=False)
+    assert count_se_classes(L3) == 180
+    assert built == []
+    closure_experiment(L2, "intersection")
+    assert len(built) <= 2 * 30  # per class, the rule that names it and its canonical form
+
+
+def test_sweeps_check_their_caps_before_any_pair_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product set was built")
+
+    monkeypatch.setattr(sekit.core, "_product", refuse)
+    for sweep in (count_se_classes, lambda a: closure_experiment(a, "union"),
+                  lambda a: brute_representable(SESet(a))):
+        with pytest.raises(EnumerationCapError, match="cap of 3"):
+            sweep(L4)
+        with pytest.raises(ValueError, match="nonempty alphabet"):
+            sweep(Alphabet(()))

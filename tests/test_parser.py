@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import strategies
@@ -114,3 +114,22 @@ def test_atom_may_start_with_not_prefix():
 def test_head_literal_order_is_irrelevant(order):
     text = "; ".join(order) + "."
     assert parse_rule(text) == Rule(head_pos={"p", "r"}, head_neg={"q", "s"})
+
+
+_PROGRAM_PIECES = st.sampled_from(["p", "q1", "nota", "not", "not not", " ", "\t", "\r", "\n", ";",
+                                   ",", ".", ":-", ":", "-", "#taut", "#", "#tau", "%", "_x", "P",
+                                   "\u00e9", "\u00df", "0"])
+
+
+@seed(2011)
+@settings(max_examples=300)
+@given(st.one_of(st.text(), st.lists(_PROGRAM_PIECES, max_size=30).map("".join)))
+def test_parse_program_fails_only_with_a_parse_error(text):
+    try:
+        program, alphabet = parse_program(text)
+    except ValueError as err:  # ParseError is one
+        assert isinstance(err, ParseError), err
+        return
+    assert alphabet.atoms == tuple(sorted(program.atoms))
+    printed = " ".join(print_rule(rule) for rule in program)
+    assert parse_program(printed) == (program, alphabet)

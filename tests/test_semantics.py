@@ -129,6 +129,31 @@ def test_empty_program_has_all_se_models():
     assert se_models_program(Program(), L2).is_full()
 
 
+def test_program_se_models_match_the_intersection_of_rule_se_models():
+    rng = random.Random(17)
+    for _ in range(100):
+        atoms = "pqrs"[:rng.randint(1, 4)]
+        program, alphabet = strategies.random_program(rng, atoms), Alphabet(tuple(atoms))
+        expected = SESet.full(alphabet)
+        for rule in program:
+            expected &= se_models(rule, alphabet)
+        assert se_models_program(program, alphabet) == expected, program
+    assert se_models_program(Program(), L3) == SESet.full(L3)
+    assert se_models_program(Program({EPSILON}), L3) == SESet.full(L3)
+
+
+def test_se_models_check_the_cap_before_the_scope():
+    outside = parse_rule("z.")
+    for compute in (lambda a, cap: se_models(outside, a, cap),
+                    lambda a, cap: se_models_program(Program({EPSILON, outside}), a, cap)):
+        with pytest.raises(ValueError, match="nonempty alphabet"):
+            compute(Alphabet(()), None)
+        with pytest.raises(EnumerationCapError, match="cap of 2"):
+            compute(L3, 2)
+        with pytest.raises(ScopeError, match="'z'"):
+            compute(L3, None)
+
+
 @given(strategies.programs())
 def test_program_se_models_within_each_rule(program):
     L3 = Alphabet(("p", "q", "r"))
