@@ -268,17 +268,11 @@ class SESet:
         return cls._of(alphabet, (1 << 3 ** _check_enumerable(alphabet, cap)) - 1)
 
     @classmethod
-    def where(cls, alphabet: Alphabet, here: tuple[int, int], there: tuple[int, int],
-              cap: int | None = None) -> "SESet":
-        """Pairs <I,J> with I in the interval `here` and J in the interval `there`, each a
-        (bottom, top) pair of bit masks and empty when the bottom is not below the top."""
-        return cls._of(alphabet, _product(_check_enumerable(alphabet, cap), here, there))
-
-    @classmethod
     def excluding(cls, alphabet: Alphabet, products: Iterable[tuple[tuple[int, int], tuple[int, int]]],
                   cap: int | None = None) -> "SESet":
-        """The full set minus the union of the products, each a (here, there) pair of
-        intervals as in `where`. The cap is checked before `products` is read."""
+        """The full set minus the union of the products, each the pairs <I,J> with I in the
+        interval `here` and J in the interval `there` ((bottom, top) bit-mask pairs, empty
+        when the bottom is not below the top). The cap is checked before `products` is read."""
         n, out = _check_enumerable(alphabet, cap), 0
         for here, there in products:
             out |= _product(n, here, there)
@@ -287,6 +281,20 @@ class SESet:
     def totals(self) -> "SESet":
         """The total pair <J,J> for the J of every member <I,J>."""
         return SESet._of(self.alphabet, _totals(self._bits, len(self.alphabet)))
+
+    def digits(self) -> tuple[int, int, int]:
+        """Masks of the atoms that take digit 0 (outside J), 1 (in J, not in I) and 2 (in I)
+        in some member, the inverse of the masks `_product` allows. One fold: the top atom
+        takes digit d when its d-th third is nonempty, and the union of the thirds is a set
+        over one atom fewer."""
+        bits, zero, one, two = self._bits, 0, 0, 0
+        for k in reversed(range(len(self.alphabet))):
+            step = 3 ** k
+            mask = (1 << step) - 1
+            lo, mid, hi = bits & mask, bits >> step & mask, bits >> 2 * step
+            zero, one, two = zero | bool(lo) << k, one | bool(mid) << k, two | bool(hi) << k
+            bits = lo | mid | hi
+        return zero, one, two
 
     def is_full(self) -> bool:
         return len(self) == 3 ** len(self.alphabet)
@@ -375,11 +383,11 @@ class SESet:
 
     def __sub__(self, other: "SESet") -> "SESet":
         self._same_alphabet(other)
-        return SESet._of(self.alphabet, self._bits & ~other._bits)
+        return SESet._of(self.alphabet, self._bits ^ (self._bits & other._bits))  # no 3^n-bit negation
 
     def __le__(self, other: "SESet") -> bool:
         self._same_alphabet(other)
-        return self._bits & ~other._bits == 0
+        return self._bits & other._bits == self._bits
 
     def __lt__(self, other: "SESet") -> bool:
         return self <= other and self._bits != other._bits

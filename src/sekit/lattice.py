@@ -112,6 +112,6 @@ def is_rule_representable(s: SESet, method: str = "induced",
     if method == "induced":
         ok = s <= se_models(rule, s.alphabet, cap)
         return ok, (rule if ok else None)
-    ok = SESet.excluding(s.alphabet, _products_of(_masks(rule, s.alphabet)), cap) == s
+    ok = se_models(rule, s.alphabet, cap) == s
     return ok, (intervals_to_rule(*rule_to_countermodel_intervals(rule, s.alphabet), s.alphabet)
                 if ok else None)

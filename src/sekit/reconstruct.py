@@ -1,21 +1,22 @@
 """Reconstructing a rule from a set of SE-interpretations.
 
 Each atom of the alphabet is sorted into at most one head or body slot by
-four membership conditions, quantified over every SE-interpretation <I,J>
-of the alphabet (not just the members of S):
+four conditions on the pairs S lacks, its complement within all SE-pairs of
+the alphabet. An atom's ternary digit in a pair <I,J> is 0 when it is outside
+J, 1 when it is in J but not in I, and 2 when it is in I:
 
-    negative body:  every pair with the atom in J lies in S
-    positive head:  not negative-body, and every pair with the atom in I lies in S
-    positive body:  every pair with the atom outside J lies in S, and every
-                    pair with the atom outside I whose J meets the positive
-                    head lies in S
-    negative head:  not positive-body, and every pair with the atom outside
-                    J lies in S
+    negative body:  no missing pair gives the atom digit 1 or 2
+    positive head:  some missing pair gives the atom digit 1, none digit 2
+    positive body:  no missing pair gives the atom digit 0, and no missing
+                    pair whose J meets the positive head gives it digit 1
+    negative head:  not positive-body, and no missing pair gives the atom
+                    digit 0
 
-Each condition tests that one product set of pairs misses every pair S
-lacks. The induced rule for the full set is the canonical tautology;
-otherwise it is built from the classification. Its SE-model set is always
-a subset of S, with equality exactly when some rule has S as its SE-models.
+So the classification reads the digit masks of the missing pairs, plus those
+of the missing pairs with J containing h, once for each positive-head atom h.
+The induced rule for the full set is the canonical tautology; otherwise it is
+built from the classification. Its SE-model set is always a subset of S, with
+equality exactly when some rule has S as its SE-models.
 """
 from __future__ import annotations
 
@@ -40,28 +41,15 @@ def classify_atoms(s: SESet, cap: int | None = None) -> AtomClassification:
     alphabet = s.alphabet
     full = alphabet.full_mask
     missing = s.complement(cap)
-    # a condition holds when its product set of pairs misses every pair S lacks
-    neg_body: set[str] = set()
-    pos_head: set[str] = set()
-    neg_head_ok: set[str] = set()
-    for atom in alphabet:
-        bit = 1 << alphabet.index(atom)
-        if not SESet.where(alphabet, (0, full), (bit, full), cap) & missing:
-            neg_body.add(atom)
-        elif not SESet.where(alphabet, (bit, full), (0, full), cap) & missing:
-            pos_head.add(atom)
-        if not SESet.where(alphabet, (0, full), (0, full & ~bit), cap) & missing:
-            neg_head_ok.add(atom)
-
-    pos_body: set[str] = set()
-    for atom in neg_head_ok:
-        bit = 1 << alphabet.index(atom)
-        if all(not SESet.where(alphabet, (0, full & ~bit), (1 << alphabet.index(head), full), cap)
-               & missing for head in pos_head):
-            pos_body.add(atom)
-
-    return AtomClassification(frozenset(neg_body), frozenset(pos_head),
-                              frozenset(pos_body), frozenset(neg_head_ok - pos_body))
+    zero, one, two = missing.digits()
+    pos_head, neg_head_ok = one & ~two, full & ~zero
+    pos_body = neg_head_ok
+    for k in range(len(alphabet)):
+        if pos_head >> k & 1:  # the missing pairs with head atom k in J
+            head_in_j = missing & SESet.excluding(alphabet, [((0, full), (0, full & ~(1 << k)))], cap)
+            pos_body &= ~head_in_j.digits()[1]
+    return AtomClassification(alphabet.atoms_of(full & ~(one | two)), alphabet.atoms_of(pos_head),
+                              alphabet.atoms_of(pos_body), alphabet.atoms_of(neg_head_ok & ~pos_body))
 
 
 def induce_rule(s: SESet, cap: int | None = None) -> Rule:

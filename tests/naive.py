@@ -62,3 +62,18 @@ def answer_sets(rules, atoms) -> set[frozenset[str]]:
         if sat(j) and not any(sat(i) for i in subs if i < j):
             out.add(j)
     return out
+
+
+def classify_atoms(s, atoms) -> tuple[set[str], set[str], set[str], set[str]]:
+    """(neg_body, pos_head, pos_body, neg_head) of a set `s` of (here, there) name-set
+    pairs, by the slot conditions quantified over every SE-pair of the atoms."""
+    pairs = se_pairs(atoms)
+
+    def all_in(holds) -> bool:
+        return all((i, j) in s for i, j in pairs if holds(i, j))
+
+    neg_body = {a for a in atoms if all_in(lambda i, j: a in j)}
+    pos_head = {a for a in atoms if a not in neg_body and all_in(lambda i, j: a in i)}
+    head_ok = {a for a in atoms if all_in(lambda i, j: a not in j)}
+    pos_body = {a for a in head_ok if all_in(lambda i, j: a not in i and j & pos_head)}
+    return neg_body, pos_head, pos_body, head_ok - pos_body

@@ -150,3 +150,12 @@ def test_criterion_10_answer_sets_at_sixteen_atoms():
     answers = answer_sets(program, Alphabet(tuple("abcdefghijklmnop")))
     ok = {frozenset(j.atoms()) for j in answers} == {frozenset("c"), frozenset("d")}
     _report(10, "answer sets at 16 atoms", ok, time.perf_counter() - start, 0.8)
+
+
+def test_criterion_11_reconstruction_at_sixteen_atoms():
+    start = time.perf_counter()
+    rule = parse_rule("a ; not b :- c, not d.")
+    s = se_models(rule, Alphabet(tuple("abcdefghijklmnop")))
+    ok = (induce_rule(s) == rule and is_rule_representable(s, "induced") == (True, rule)
+          and is_rule_representable(s, "lattice")[0])  # its witness may differ syntactically
+    _report(11, "reconstruction at 16 atoms", ok, time.perf_counter() - start, 1.0)

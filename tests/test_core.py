@@ -184,6 +184,25 @@ def test_totals_matches_its_definition():
             assert s.totals() == by_definition(s)
 
 
+def test_digits_match_the_members_digits():
+    def by_members(s):
+        out = [0, 0, 0]
+        for m in s.models:
+            for k in range(len(s.alphabet)):
+                out[(m.there.bits >> k & 1) + (m.here.bits >> k & 1)] |= 1 << k
+        return tuple(out)
+
+    rng = random.Random(37)
+    for n in range(1, 6):
+        a = Alphabet(tuple("pqrst"[:n]))
+        pairs = all_se_interpretations(a)
+        for _ in range(40):
+            s = SESet(a, rng.sample(pairs, rng.randint(0, min(len(pairs), 6))))
+            assert s.digits() == by_members(s)
+        assert SESet(a).digits() == (0, 0, 0)
+        assert SESet.full(a).digits() == (a.full_mask,) * 3
+
+
 def test_index_masks_run_in_index_order():
     a = Alphabet(("p", "q", "r"))
     pairs = all_se_interpretations(a)

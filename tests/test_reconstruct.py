@@ -1,10 +1,13 @@
 """Atom classification and rule reconstruction from SE-interpretation sets."""
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
 
+import naive
+import sekit.core
 from sekit import (EPSILON, Alphabet, AtomClassification, Interpretation, Rule,
                    SEInterpretation, SESet, all_se_interpretations, classify_atoms,
                    induce_rule, is_canonical, parse_rule, print_rule, se_models, secan)
@@ -76,3 +79,37 @@ def test_induced_rules_are_always_canonical():
 def test_induced_se_models_never_exceed_the_input():
     for s in all_se_subsets(L2):
         assert se_models(induce_rule(s), L2).models <= s.models
+
+
+def _naive_classification(s):
+    pairs = {(frozenset(m.here.atoms()), frozenset(m.there.atoms())) for m in s}
+    return AtomClassification(*map(frozenset, naive.classify_atoms(pairs, s.alphabet.atoms)))
+
+
+def test_classification_matches_the_naive_reference():
+    for s in all_se_subsets(L2):
+        assert classify_atoms(s) == _naive_classification(s), s.models
+    rng = random.Random(41)
+    for n in (3, 4, 5):
+        alphabet = Alphabet(tuple("pqrst"[:n]))
+        pairs = all_se_interpretations(alphabet)
+        rules = list(enumerate_rules(Alphabet(tuple("pqr"[:min(n, 3)]))))
+        for k in range(60):
+            s = SESet(alphabet, rng.sample(pairs, rng.randint(0, len(pairs))))
+            if k % 3:  # a rule's SE-set, alone or cut down by the random set
+                rule_set = se_models(rng.choice(rules), alphabet)
+                s = rule_set if k % 3 == 1 else rule_set & s
+            assert classify_atoms(s) == _naive_classification(s), (n, k)
+
+
+def test_induce_rule_builds_one_product_per_positive_head_atom(monkeypatch):
+    s = se_models(parse_rule("a ; not b :- c, not d."), Alphabet(tuple("abcdefgh")))
+    product, calls = sekit.core._product, []
+
+    def counting(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(sekit.core, "_product", counting)
+    assert induce_rule(s) == parse_rule("a ; not b :- c, not d.")
+    assert len(calls) <= 1
