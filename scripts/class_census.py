@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Count distinct SE-model classes by brute enumeration and compare with the closed form.
 
-Exhausts all 16^n rules per alphabet size, dedupes their SE-model sets (the
-tautology class included), and checks the count against 6^n - 4^n + 3^n + 1
-and against the number of canonical rules plus one.
+Builds the SE-model set of each of the 7^n letter words per alphabet size,
+which covers every rule's SE-set, dedupes them (the tautology class included),
+and checks the count against 6^n - 4^n + 3^n + 1 and against the number of
+canonical rules plus one. Only that last column exhausts all 16^n rules.
 """
 from __future__ import annotations
 

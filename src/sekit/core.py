@@ -192,16 +192,18 @@ class Program:
     """Finite set of rules."""
 
     rules: frozenset[Rule] = frozenset()
+    _order: tuple[Rule, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", frozenset(self.rules))
+        object.__setattr__(self, "_order", tuple(sorted(self.rules, key=rule_key)))
 
     @property
     def atoms(self) -> frozenset[str]:
         return frozenset().union(*(rule.atoms for rule in self.rules))
 
     def __iter__(self) -> Iterator[Rule]:
-        return iter(sorted(self.rules, key=rule_key))
+        return iter(self._order)
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -350,7 +352,7 @@ class SESet:
         return frozenset(self.sorted_models())
 
     def complement(self, cap: int | None = None) -> "SESet":
-        return SESet.full(self.alphabet, cap) - self
+        return SESet._of(self.alphabet, SESet.full(self.alphabet, cap)._bits ^ self._bits)
 
     def sort_key(self) -> tuple:
         return tuple((j, i) for i, j in self.masks())
@@ -369,8 +371,11 @@ class SESet:
     def __iter__(self) -> Iterator[SEInterpretation]:
         return iter(self.sorted_models())
 
+    def __hash__(self) -> int:
+        return hash(self._bits)  # equal sets have equal bits; __eq__ compares alphabets too
+
     def _same_alphabet(self, other: "SESet") -> None:
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise ValueError("SE-sets over different alphabets")
 
     def __or__(self, other: "SESet") -> "SESet":

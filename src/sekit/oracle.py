@@ -3,15 +3,15 @@
 Everything here is brute force on purpose; the point is to cross-check the
 structural machinery against raw enumeration at desk scale. Rule enumeration
 is capped separately (default 3 atoms, 16^n rules) from interpretation
-enumeration. The sweeps enumerate (H+, H-, B+, B-) mask quadruples, not
-rules, and build a rule only where one is returned or named.
+enumeration. `enumerate_rules` walks all 16^n rules. The sweeps are exhaustive
+over the 7^n letter words instead, which cover every rule's SE-set (see
+`_classes`), and build a rule only where one is returned or named.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from typing import Iterator
 
 from .canonical import secan
 from .core import Alphabet, EnumerationCapError, Rule, SESet
@@ -20,14 +20,20 @@ from .semantics import Masks, _products_of
 DEFAULT_RULE_ENUMERATION_CAP = 3
 
 
-def _quadruples(alphabet: Alphabet, cap: int | None) -> Iterator[Masks]:
-    """(H+, H-, B+, B-) masks of all 16^n proper rules in the order of `enumerate_rules`,
-    once the rule cap is checked."""
+# An atom's letter is the pair of digit sets it allows in the two products of `_products_of`.
+# Per letter, its first (H+, H-, B+, B-) pattern in enumeration order (lexicographic on the
+# masks): absent, B-, B+, tautological (B+ with B-, among others), H-, H+, H+ with H-.
+_LETTERS = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 0, 0), (1, 0, 0, 0),
+            (1, 1, 0, 0))
+
+
+def _rule_cap_checked(alphabet: Alphabet, cap: int | None) -> int:
+    """The alphabet's size, once it is known to be within the rule cap."""
     limit = DEFAULT_RULE_ENUMERATION_CAP if cap is None else cap
     if len(alphabet) > limit:
         raise EnumerationCapError(
             f"alphabet has {len(alphabet)} atoms, exceeding the rule enumeration cap of {limit}")
-    return product(range(1 << len(alphabet)), repeat=4)
+    return len(alphabet)
 
 
 def enumerate_rules(alphabet: Alphabet, cap: int | None = None) -> tuple[Rule, ...]:
@@ -36,16 +42,20 @@ def enumerate_rules(alphabet: Alphabet, cap: int | None = None) -> tuple[Rule, .
     Each atom lands independently in any subset of the four rule parts. The
     canonical tautology is not included.
     """
-    quadruples = _quadruples(alphabet, cap)
-    subsets = [alphabet.atoms_of(bits) for bits in range(1 << len(alphabet))]
-    return tuple(Rule(*(subsets[m] for m in masks)) for masks in quadruples)
+    subsets = [alphabet.atoms_of(bits) for bits in range(1 << _rule_cap_checked(alphabet, cap))]
+    return tuple(Rule(*(subsets[m] for m in masks)) for masks in product(range(len(subsets)), repeat=4))
 
 
 def _classes(alphabet: Alphabet, cap: int | None, rule_cap: int | None) -> dict[SESet, Masks]:
     """Each representable SE-model set, mapped to the masks of the first rule in
-    enumeration order that has it. No rule object is built."""
+    enumeration order that has it. No rule is built, and one SE-set per letter word:
+    a word's masks give each atom its letter's first pattern, so they are the least
+    among the word's rules, and the sorted words meet every class first at its first rule."""
+    words = [(0, 0, 0, 0)]
+    for k in range(_rule_cap_checked(alphabet, rule_cap)):
+        words = [tuple(m | b << k for m, b in zip(masks, p)) for masks in words for p in _LETTERS]
     classes: dict[SESet, Masks] = {}
-    for masks in _quadruples(alphabet, rule_cap):
+    for masks in sorted(words):
         classes.setdefault(SESet.excluding(alphabet, _products_of(masks), cap), masks)
     return classes
 

@@ -159,3 +159,9 @@ def test_criterion_11_reconstruction_at_sixteen_atoms():
     ok = (induce_rule(s) == rule and is_rule_representable(s, "induced") == (True, rule)
           and is_rule_representable(s, "lattice")[0])  # its witness may differ syntactically
     _report(11, "reconstruction at 16 atoms", ok, time.perf_counter() - start, 1.0)
+
+
+def test_criterion_12_census_at_five_atoms():
+    start = time.perf_counter()
+    ok = count_se_classes(Alphabet(tuple("abcde")), rule_cap=5) == 6996
+    _report(12, "class census at 5 atoms", ok, time.perf_counter() - start, 1.0)

@@ -270,6 +270,12 @@ def test_explore_classes(capsys):
     assert json.loads(out) == {"atoms": 1, "classes": 6}
 
 
+def test_explore_classes_at_five_atoms(capsys, monkeypatch):
+    monkeypatch.setenv("SEKIT_ENUM_CAP", "5")
+    code, out, err = run(capsys, "explore", "classes", "-n", "5")
+    assert code == 0 and out.strip() == "6996" and err == ""
+
+
 def test_explore_closure_reports_counterexample(capsys):
     code, out, _ = run(capsys, "explore", "closure", "--op", "intersection", "-n", "2")
     assert code == 0

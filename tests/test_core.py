@@ -6,6 +6,7 @@ import random
 import pytest
 
 import naive
+import sekit.core
 from sekit import (EPSILON, Alphabet, EnumerationCapError, Interpretation, Program,
                    Rule, ScopeError, SEInterpretation, SESet, all_interpretations,
                    all_se_interpretations, rule_key)
@@ -224,3 +225,44 @@ def test_from_masks_checks_pairs_and_cap():
         SESet.from_masks(a, iter(()), cap=1)
     # the object constructor takes no cap: empty and large alphabets stay allowed
     assert len(SESet(Alphabet(()))) == len(SESet(Alphabet(tuple(f"a{k}" for k in range(21))))) == 0
+
+
+def test_program_sorts_its_rules_once(monkeypatch):
+    calls = []
+
+    def counting(rule):
+        calls.append(rule)
+        return rule_key(rule)
+
+    monkeypatch.setattr(sekit.core, "rule_key", counting)
+    rules = {Rule(head_pos={"q"}), Rule(head_pos={"p"}, body_neg={"q"}), EPSILON}
+    p = Program(rules)
+    assert list(p) == list(p) == sorted(rules, key=rule_key)
+    assert len(calls) == len(rules)
+    assert p == Program(rules) and hash(p) == hash(Program(rules)) and "_order" not in repr(p)
+
+
+def test_complement_matches_full_minus_the_set():
+    rng = random.Random(41)
+    for n in range(1, 6):
+        a = Alphabet(tuple("pqrst"[:n]))
+        pairs = all_se_interpretations(a)
+        full = SESet.full(a)
+        for s in [SESet(a), full] + [SESet(a, rng.sample(pairs, rng.randint(0, len(pairs))))
+                                     for _ in range(20)]:
+            assert s.complement() == full - s
+    with pytest.raises(EnumerationCapError, match="alphabet has 2 atoms, exceeding the enumeration cap of 1"):
+        SESet(Alphabet(("p", "q"))).complement(cap=1)
+    with pytest.raises(ValueError, match="enumeration requires a nonempty alphabet"):
+        SESet(Alphabet(())).complement()
+
+
+def test_equal_se_sets_hash_equal_and_alphabets_still_tell_sets_apart():
+    a = Alphabet(("p", "q"))
+    pairs = all_se_interpretations(a)
+    x = SESet(a, pairs[1:5])
+    assert x == SESet.from_masks(Alphabet(("q", "p")), x.masks()) and hash(x) == hash(SESet(a, pairs[1:5]))
+    p_full, q_full = SESet.full(Alphabet(("p",))), SESet.full(Alphabet(("q",)))
+    assert p_full != q_full and len({p_full, q_full, SESet.full(Alphabet(("p",)))}) == 2
+    with pytest.raises(ValueError, match="different alphabets"):
+        p_full | q_full

@@ -1,7 +1,7 @@
 """Exhaustive sweeps: rule enumeration, class census, closure scans."""
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -10,12 +10,14 @@ import sekit.oracle
 from sekit import (Alphabet, ClosureCounterexample, ClosureReport, EnumerationCapError, Rule,
                    SESet, brute_representable, closure_experiment, count_se_classes,
                    enumerate_rules, is_canonical, parse_rule, print_rule, se_models, secan)
+from sekit.semantics import _products_of
 from test_reconstruct import all_se_subsets, subset_of_pairs
 
 L1 = Alphabet(("p",))
 L2 = Alphabet(("p", "q"))
 L3 = Alphabet(("p", "q", "r"))
 L4 = Alphabet(("p", "q", "r", "s"))
+L5 = Alphabet(("p", "q", "r", "s", "t"))
 
 
 # Rule-path references: the sweeps as they read when every rule was built and
@@ -140,6 +142,41 @@ def test_brute_witness_is_the_first_rule_in_enumeration_order():
 
 def test_census_over_four_atoms():
     assert count_se_classes(L4, rule_cap=4) == 6 ** 4 - 4 ** 4 + 3 ** 4 + 1 == 1122
+
+
+def test_census_over_five_atoms():
+    assert count_se_classes(L5, rule_cap=5) == 6 ** 5 - 4 ** 5 + 3 ** 5 + 1 == 6996
+
+
+def test_letters_are_the_first_patterns_of_the_seven_product_groups():
+    # an atom's letter: the digits each of the rule's two countermodel products allows it
+    groups = {}
+    for pattern in product(range(2), repeat=4):
+        letter = tuple(sekit.core._product(1, *p) for p in _products_of(pattern))
+        groups.setdefault(letter, []).append(pattern)
+    assert len(groups) == 7
+    assert sekit.oracle._LETTERS == tuple(patterns[0] for patterns in groups.values())
+
+
+def test_letter_words_give_the_map_of_all_quadruples():
+    for alphabet in (L1, L2, L3):
+        first = {}
+        for masks in product(range(1 << len(alphabet)), repeat=4):
+            first.setdefault(SESet.excluding(alphabet, _products_of(masks)), masks)
+        assert list(sekit.oracle._classes(alphabet, None, None).items()) == list(first.items())
+
+
+def test_census_builds_one_se_set_per_letter_word(monkeypatch):
+    calls = []
+    excluding = SESet.excluding.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return excluding(cls, *args, **kwargs)
+
+    monkeypatch.setattr(SESet, "excluding", classmethod(counting))
+    assert count_se_classes(L3) == 180
+    assert len(calls) == 7 ** 3  # not one per rule, 16 ** 3
 
 
 def test_census_builds_no_rule(monkeypatch):
