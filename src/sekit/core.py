@@ -302,50 +302,50 @@ class SESet:
         return len(self) == 3 ** len(self.alphabet)
 
     def masks(self) -> Iterator[tuple[int, int]]:
-        """(here, there) bit masks of the members, sorted by (there, here).
+        """(here, there) bit masks of the members, sorted by (there, here), at a cost
+        that follows the member count rather than 3^n.
 
-        J runs upward and I over the submasks of J in increasing order, so
-        each of the 3^n pairs is visited once.
+        One descent over the top atom's thirds. A stack entry (parts, k, there) fixes J's
+        atoms from k up to `there`; `parts` maps I's atoms from k up, ascending, to the set
+        over atoms 0..k-1 with them (a dict: a tuple per part gives the garbage collector
+        more objects to count). The low thirds keep atom k-1 outside J; the middle and high
+        thirds put it in J, the high ones in I too. The outside branch pops first, so J and
+        then I run upward. The empty alphabet's one pair <{},{}> is bit 0.
         """
-        n = len(self.alphabet)
-        t = [_ternary(x) for x in range(1 << n)]
-        flags = f"{self._bits:0{3 ** n}b}"[::-1]
-        for j in range(1 << n):
-            i = 0
-            while True:
-                if flags[t[i] + t[j]] == "1":
-                    yield i, j
-                if i == j:
-                    break
-                i = (i - j) & j
-
-    def index_masks(self) -> Iterator[tuple[int, int]]:
-        """(here, there) bit masks of the members in index order, at a cost that
-        follows the member count rather than 3^n.
-
-        The set splits into thirds by the top atom's digit; each nonempty third
-        is a set over one atom fewer and splits in turn, down to single members.
-        """
-        stack = [(self._bits, len(self.alphabet), 0, 0)] if self._bits else []
+        stack = [({0: self._bits}, len(self.alphabet), 0)] if self._bits else []
         while stack:
-            bits, k, here, there = stack.pop()
-            if not k:
-                yield here, there
+            parts, k, there = stack.pop()
+            if k <= 1:  # the last atom inline: digit 0 of every part, then digits 1 and 2
+                for here, bits in parts.items():
+                    if bits & 1:
+                        yield here, there
+                there |= 1
+                for here, bits in parts.items():
+                    if bits & 2:
+                        yield here, there
+                    if bits & 4:
+                        yield here | 1, there
                 continue
             k -= 1
             step, bit = 3 ** k, 1 << k
             mask = (1 << step) - 1
-            # pushed in reverse, so digit 0 (outside J) pops first and digit 2 (in I) last
-            if hi := bits >> 2 * step:
-                stack.append((hi, k, here | bit, there | bit))
-            if mid := bits >> step & mask:
-                stack.append((mid, k, here, there | bit))
-            if lo := bits & mask:
-                stack.append((lo, k, here, there))
+            outside, inside = {}, {}
+            for here, bits in parts.items():
+                if lo := bits & mask:
+                    outside[here] = lo
+                if mid := bits >> step & mask:
+                    inside[here] = mid
+                if hi := bits >> 2 * step:
+                    inside[here | bit] = hi
+            if inside:
+                stack.append((inside, k, there | bit))
+            if outside:
+                stack.append((outside, k, there))
 
     def sorted_models(self) -> list[SEInterpretation]:
-        interps = [Interpretation(self.alphabet, x) for x in range(1 << len(self.alphabet))]
-        return [SEInterpretation(interps[i], interps[j]) for i, j in self.masks()]
+        pairs = list(self.masks())
+        interps = {m: Interpretation(self.alphabet, m) for m in {side for pair in pairs for side in pair}}
+        return [SEInterpretation(interps[i], interps[j]) for i, j in pairs]
 
     @property
     def models(self) -> frozenset[SEInterpretation]:

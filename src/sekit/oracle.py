@@ -103,13 +103,12 @@ def closure_experiment(alphabet: Alphabet, op: str, cap: int | None = None,
     if op not in ("union", "intersection"):
         raise ValueError(f"unknown closure operation {op!r} (expected union or intersection)")
     names = {s: secan(Rule(*map(alphabet.atoms_of, masks)))
-             for s, masks in _classes(alphabet, cap, rule_cap).items()}
+             for s, masks in _se_index(alphabet, cap, rule_cap).items()}
     representable = sorted(names, key=SESet.sort_key)
     counterexamples = []
-    pair_count = 0
     for s1, s2 in combinations_with_replacement(representable, 2):
-        pair_count += 1
         merged = s1 | s2 if op == "union" else s1 & s2
         if merged not in names:  # names holds every representable set over the alphabet
             counterexamples.append(ClosureCounterexample(names[s1], names[s2]))
-    return ClosureReport(op, alphabet, len(representable), pair_count, tuple(counterexamples))
+    k = len(representable)  # k * (k + 1) / 2 unordered pairs, each set with itself included
+    return ClosureReport(op, alphabet, k, k * (k + 1) // 2, tuple(counterexamples))

@@ -114,4 +114,4 @@ def answer_sets(program: Program, alphabet: Alphabet, cap: int | None = None) ->
     s = se_models_program(program, alphabet, cap)
     totals = s.totals()
     answers = totals - (s - totals).totals()
-    return frozenset(Interpretation(alphabet, there) for _, there in answers.index_masks())
+    return frozenset(Interpretation(alphabet, there) for _, there in answers.masks())

@@ -1,5 +1,5 @@
-"""The benchmark's rule-roundtrip and program-edit batches run against this checkout with
-every op correct."""
+"""The benchmark's rule-roundtrip, program-edit and class-sweep batches run against this
+checkout with every op correct."""
 from __future__ import annotations
 
 import json
@@ -12,7 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["rule-roundtrip", "program-edit"])
+@pytest.mark.parametrize("workload", ["rule-roundtrip", "program-edit", "class-sweep"])
 def test_batch_has_no_failed_or_wrong_op(workload):
     proc = subprocess.run([sys.executable, str(ROOT / "bench" / "worker.py"), workload,
                            "1", "0", "0"], capture_output=True, text=True, timeout=300)

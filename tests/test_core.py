@@ -163,7 +163,6 @@ def test_se_set_algebra_matches_frozensets():
         assert sx.sorted_models() == sorted(x, key=SEInterpretation.sort_key)
         masks = [(m.here.bits, m.there.bits) for m in sx.sorted_models()]
         assert list(sx.masks()) == masks
-        assert sorted(sx.index_masks()) == sorted(masks)
         assert SESet.from_masks(a, masks[::-1] + masks) == sx
         assert (sx == sy) == (x == y)
 
@@ -204,15 +203,19 @@ def test_digits_match_the_members_digits():
         assert SESet.full(a).digits() == (a.full_mask,) * 3
 
 
-def test_index_masks_run_in_index_order():
-    a = Alphabet(("p", "q", "r"))
-    pairs = all_se_interpretations(a)
+def test_masks_run_in_there_here_order():
     rng = random.Random(33)
-    for _ in range(50):
-        s = SESet(a, rng.sample(pairs, rng.randint(1, 27)))
-        index = [int(f"{here:b}", 3) + int(f"{there:b}", 3) for here, there in s.index_masks()]
-        assert index == sorted(index)
-    assert list(SESet(Alphabet(())).index_masks()) == []
+    for n in range(6):
+        a = Alphabet(tuple("pqrst"[:n]))
+        sides = [Interpretation(a, x) for x in range(1 << n)]
+        pairs = [SEInterpretation(i, j) for j in sides for i in sides if i <= j]
+        top = sides[-1]  # L, the whole alphabet; for n = 0, <{},{}> is the one pair
+        cases = [[], pairs, [SEInterpretation(top, top)]]
+        cases += [rng.sample(pairs, rng.randint(1, min(len(pairs), 6))) for _ in range(25)]
+        cases += [rng.sample(pairs, rng.randint(1, len(pairs))) for _ in range(25)]
+        for x in cases:
+            expected = [(m.here.bits, m.there.bits) for m in sorted(x, key=SEInterpretation.sort_key)]
+            assert list(SESet(a, x).masks()) == expected
 
 
 def test_from_masks_checks_pairs_and_cap():

@@ -179,6 +179,21 @@ def test_census_builds_one_se_set_per_letter_word(monkeypatch):
     assert len(calls) == 7 ** 3  # not one per rule, 16 ** 3
 
 
+def test_closure_sweeps_share_one_class_table(monkeypatch):
+    calls = []
+    excluding = SESet.excluding.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return excluding(cls, *args, **kwargs)
+
+    monkeypatch.setattr(SESet, "excluding", classmethod(counting))
+    sekit.oracle._se_index.cache_clear()
+    union, intersection = (closure_experiment(L2, op) for op in ("union", "intersection"))
+    assert (union.set_count, intersection.set_count) == (30, 30)
+    assert len(calls) == 7 ** 2  # one table for both sweeps, not one per sweep
+
+
 def test_census_builds_no_rule(monkeypatch):
     built = []
     post_init = Rule.__post_init__
