@@ -232,15 +232,15 @@ class SESet:
     _bits: int
 
     def __init__(self, alphabet: Alphabet, models: Iterable[SEInterpretation] = frozenset()) -> None:
-        bits = 0
-        for m in models:
-            if m.alphabet != alphabet:
-                raise ValueError(f"SE-interpretation {m!r} is not over alphabet {alphabet.atoms}")
-            if not bits and alphabet.atoms:  # one member costs 3^n bits: check the cap first
-                _check_enumerable(alphabet, None)
-            bits |= 1 << _ternary(m.here.bits) + _ternary(m.there.bits)
+        def indices() -> Iterator[int]:
+            for k, m in enumerate(models):
+                if m.alphabet != alphabet:
+                    raise ValueError(f"SE-interpretation {m!r} is not over alphabet {alphabet.atoms}")
+                if not k and alphabet.atoms:  # one member costs 3^n bits: check the cap first
+                    _check_enumerable(alphabet, None)
+                yield _ternary(m.here.bits) + _ternary(m.there.bits)
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "_bits", _bits_of(indices()))
 
     @classmethod
     def _of(cls, alphabet: Alphabet, bits: int) -> "SESet":
@@ -255,29 +255,33 @@ class SESet:
         """The pairs <I,J> given as (here, there) bit masks, the inverse of `masks`.
         The cap is checked before `pairs` is read. Each distinct side's index is
         computed once: a document repeats every side many times."""
-        n, bits, index = _check_enumerable(alphabet, cap), 0, {}
-        for here, there in pairs:
-            if here & ~there or there >> n:  # the checked constructors name the fault
-                SEInterpretation(Interpretation(alphabet, here), Interpretation(alphabet, there))
-            for side in (here, there):
-                if side not in index:
-                    index[side] = _ternary(side)
-            bits |= 1 << index[here] + index[there]
-        return cls._of(alphabet, bits)
+        n, index = _check_enumerable(alphabet, cap), {}
+
+        def indices() -> Iterator[int]:
+            for here, there in pairs:
+                if here & ~there or there >> n:  # the checked constructors name the fault
+                    SEInterpretation(Interpretation(alphabet, here), Interpretation(alphabet, there))
+                i, j = index.get(here), index.get(there)
+                if i is None:
+                    i = index[here] = _ternary(here)
+                if j is None:
+                    j = index[there] = _ternary(there)
+                yield i + j
+        return cls._of(alphabet, _bits_of(indices()))
 
     @classmethod
     def full(cls, alphabet: Alphabet, cap: int | None = None) -> "SESet":
         return cls._of(alphabet, (1 << 3 ** _check_enumerable(alphabet, cap)) - 1)
 
     @classmethod
-    def excluding(cls, alphabet: Alphabet, products: Iterable[tuple[tuple[int, int], tuple[int, int]]],
+    def excluding(cls, alphabet: Alphabet, cubes: Iterable[tuple[int, int, int]],
                   cap: int | None = None) -> "SESet":
-        """The full set minus the union of the products, each the pairs <I,J> with I in the
-        interval `here` and J in the interval `there` ((bottom, top) bit-mask pairs, empty
-        when the bottom is not below the top). The cap is checked before `products` is read."""
+        """The full set minus the union of the cubes. A cube of masks (zero, one, two) holds the
+        pairs <I,J> in which each atom's digit d (see the class docstring) has it in the d-th
+        mask; bits above the alphabet are not read. The cap is checked before `cubes` is read."""
         n, out = _check_enumerable(alphabet, cap), 0
-        for here, there in products:
-            out |= _product(n, here, there)
+        for zero, one, two in cubes:
+            out |= _product(n, zero, one, two)
         return cls._of(alphabet, (1 << 3 ** n) - 1 ^ out)  # out lies below 3^n, so ^ removes it
 
     def totals(self) -> "SESet":
@@ -285,10 +289,9 @@ class SESet:
         return SESet._of(self.alphabet, _totals(self._bits, len(self.alphabet)))
 
     def digits(self) -> tuple[int, int, int]:
-        """Masks of the atoms that take digit 0 (outside J), 1 (in J, not in I) and 2 (in I)
-        in some member, the inverse of the masks `_product` allows. One fold: the top atom
-        takes digit d when its d-th third is nonempty, and the union of the thirds is a set
-        over one atom fewer."""
+        """The least cube (see `excluding`) that holds the set: the masks of the atoms that take
+        digit 0, 1 and 2 in some member. One fold: the top atom takes digit d when its d-th
+        third is nonempty, and the union of the thirds is a set over one atom fewer."""
         bits, zero, one, two = self._bits, 0, 0, 0
         for k in reversed(range(len(self.alphabet))):
             step = 3 ** k
@@ -386,6 +389,10 @@ class SESet:
         self._same_alphabet(other)
         return SESet._of(self.alphabet, self._bits & other._bits)
 
+    def __xor__(self, other: "SESet") -> "SESet":
+        self._same_alphabet(other)
+        return SESet._of(self.alphabet, self._bits ^ other._bits)
+
     def __sub__(self, other: "SESet") -> "SESet":
         self._same_alphabet(other)
         return SESet._of(self.alphabet, self._bits ^ (self._bits & other._bits))  # no 3^n-bit negation
@@ -421,13 +428,22 @@ def _totals(bits: int, k: int) -> int:
     return out | _totals(up, k - 1) << 2 * step if up else out
 
 
-def _product(n: int, here: tuple[int, int], there: tuple[int, int]) -> int:
-    """Bits of the pairs <I,J> over atoms 0..n-1 with I in `here` and J in `there`. The set
-    over atoms 0..k-1 fills the indices below 3^k; atom k keeps one shifted copy of it for
-    each digit the two intervals allow."""
-    (i_bot, i_top), (j_bot, j_top) = here, there
-    # the atoms that may take digit 0 (outside J), 1 (in J, not in I) and 2 (in I)
-    zero, one, two = ~(i_bot | j_bot), ~i_bot & j_top, i_top & j_top
+def _bits_of(indices: Iterable[int]) -> int:
+    """The integer with the bits `indices` set. `bits |= 1 << k` copies the whole integer per
+    bit; a bytearray takes each bit in place and grows only to the largest index."""
+    buf = bytearray()
+    for k in indices:
+        byte = k >> 3
+        if byte >= len(buf):
+            buf += bytes(byte + 1 - len(buf))
+        buf[byte] |= 1 << (k & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _product(n: int, zero: int, one: int, two: int) -> int:
+    """Bits of the pairs in the cube (zero, one, two) over atoms 0..n-1 (see
+    `SESet.excluding`). The set over atoms 0..k-1 fills the indices below 3^k; atom k keeps
+    one shifted copy of it for each digit its masks allow."""
     if ~(zero | one | two) & ((1 << n) - 1):  # an atom that can take no digit: no pair
         return 0
     bits = 1

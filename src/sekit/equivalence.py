@@ -33,16 +33,22 @@ def se_equivalent_rules(r1: Rule, r2: Rule, alphabet: Alphabet, cap: int | None 
     return _canonical(r1, alphabet) == _canonical(r2, alphabet)
 
 
-def _compare(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None) -> tuple:
-    """The four verdicts and, for the witnesses, each rule's canonical form (the name of its
-    SE-class) and per program the SE-models, the canonical forms of the rule family (tautology
-    adjoined) and its minimal members; then the rules that are no SE-tautology."""
+def _syntax(p1: Program, p2: Program, alphabet: Alphabet) -> tuple:
+    """Each rule's canonical form (the name of its SE-class), every rule's scope checked; per
+    program the canonical forms of the rule family (tautology adjoined); and the rules of the
+    symmetric difference that are no SE-tautology. sr and su read these alone."""
     canon = {rule: _canonical(rule, alphabet) for rule in {EPSILON} | p1.rules | p2.rules}
-    sets = {c: se_models(c, alphabet, cap) for c in set(canon.values())}  # read by s and smr only
     families = [frozenset(canon[r] for r in p.rules | {EPSILON}) for p in (p1, p2)]
+    return canon, families, [r for r in p1.rules ^ p2.rules if canon[r] != EPSILON]
+
+
+def _compare(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None) -> tuple:
+    """The four verdicts and, for the witnesses, the output of `_syntax` with per program
+    the SE-models and the minimal members of the rule family."""
+    canon, families, untaut = _syntax(p1, p2, alphabet)
+    sets = {c: se_models(c, alphabet, cap) for c in set(canon.values())}  # read by s and smr only
     models = [reduce(SESet.__and__, (sets[c] for c in f)) for f in families]
     minimal = [frozenset(c for c in f if not any(sets[d] < sets[c] for d in f)) for f in families]
-    untaut = [r for r in p1.rules ^ p2.rules if canon[r] != EPSILON]
     verdicts = {EquivalenceNotion.S: models[0] == models[1],
                 EquivalenceNotion.SR: families[0] == families[1],
                 EquivalenceNotion.SMR: minimal[0] == minimal[1], EquivalenceNotion.SU: not untaut}
@@ -54,7 +60,9 @@ def strongly_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int |
 
 
 def sr_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
-    return _compare(p1, p2, alphabet, cap)[0][EquivalenceNotion.SR]
+    """Equal rule families, by canonical forms; `cap` is unused."""
+    families = _syntax(p1, p2, alphabet)[1]
+    return families[0] == families[1]
 
 
 def smr_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
@@ -62,7 +70,8 @@ def smr_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None
 
 
 def su_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
-    return _compare(p1, p2, alphabet, cap)[0][EquivalenceNotion.SU]
+    """Only SE-tautologies in the symmetric difference, by canonical forms; `cap` is unused."""
+    return not _syntax(p1, p2, alphabet)[2]
 
 
 @dataclass(frozen=True)
@@ -116,7 +125,7 @@ def equivalence_report(p1: Program, p2: Program, alphabet: Alphabet,
     verdicts, canon, (m1, m2), families, minimal, untaut = _compare(p1, p2, alphabet, cap)
     witnesses: dict[EquivalenceNotion, object] = {}
     if not verdicts[EquivalenceNotion.S]:
-        here, there = next((m1 - m2 | m2 - m1).masks())  # the first in (there, here) order
+        here, there = next((m1 ^ m2).masks())  # the first in (there, here) order
         se = SEInterpretation(Interpretation(alphabet, here), Interpretation(alphabet, there))
         witnesses[EquivalenceNotion.S] = SEModelWitness(se, "left" if se in m1 else "right")
     if not verdicts[EquivalenceNotion.SR]:

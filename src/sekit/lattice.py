@@ -5,7 +5,8 @@ For a proper rule the pairs that fail to be SE-models are exactly
     { <I,J> : I in L1 and J in L2 }  union  { <I,J> : J in L1 and J in L2 }
 
 where L1 = [B+, L \\ H+] and L2 = [H- u B+, L \\ B-] are convex sublattices
-of the powerset of the alphabet. Inverting that shape answers whether an
+of the powerset of the alphabet (elsewhere sekit holds each product as a
+cube; see `SESet.excluding`). Inverting that shape answers whether an
 arbitrary set of SE-interpretations is the SE-model set of any single rule.
 """
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .core import (EPSILON, Alphabet, Interpretation, Rule, SEInterpretation, SE
                    all_interpretations)
 from .oracle import brute_representable
 from .reconstruct import induce_rule
-from .semantics import _masks, _products_of, se_models
+from .semantics import _masks, se_models
 
 
 @dataclass(frozen=True)
@@ -57,17 +58,18 @@ def rule_to_countermodel_intervals(rule: Rule, alphabet: Alphabet) -> tuple[Inte
     """The two intervals carving out the rule's SE-countermodels; empty pair for the tautology."""
     if rule.is_epsilon:
         return Interval.empty(alphabet), Interval.empty(alphabet)
-    l1_by_l2, _ = _products_of(_masks(rule, alphabet))
-    return tuple(Interval(Interpretation(alphabet, bot), Interpretation(alphabet, top & alphabet.full_mask))
-                 for bot, top in l1_by_l2)
+    hp, hn, bp, bn = _masks(rule, alphabet)
+    side = lambda bits: Interpretation(alphabet, bits & alphabet.full_mask)
+    return Interval(side(bp), side(~hp)), Interval(side(hn | bp), side(~bn))
 
 
 def interval_countermodels(l1: Interval, l2: Interval, cap: int | None = None) -> frozenset[SEInterpretation]:
-    """SE-interpretations excluded by the interval pair."""
+    """SE-interpretations excluded by the interval pair; an empty interval gives empty cubes."""
     if l1.alphabet != l2.alphabet:
         raise ValueError("intervals over different alphabets")
-    rule = intervals_to_rule(l1, l2, l1.alphabet)  # its countermodels are the ones the pair carves out
-    return frozenset(se_models(rule, l1.alphabet, cap).complement(cap))
+    b1, t1, b2, t2 = l1.bot.bits, l1.top.bits, l2.bot.bits, l2.top.bits
+    cubes = (~(b1 | b2), ~b1 & t2, t1 & t2), (~(b1 | b2), t1 & t2, t1 & t2)
+    return frozenset(SESet.excluding(l1.alphabet, cubes, cap).complement(cap))
 
 
 def intervals_to_rule(l1: Interval, l2: Interval, alphabet: Alphabet) -> Rule:

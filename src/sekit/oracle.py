@@ -20,9 +20,11 @@ from .semantics import Masks, _products_of
 DEFAULT_RULE_ENUMERATION_CAP = 3
 
 
-# An atom's letter is the pair of digit sets it allows in the two products of `_products_of`.
-# Per letter, its first (H+, H-, B+, B-) pattern in enumeration order (lexicographic on the
-# masks): absent, B-, B+, tautological (B+ with B-, among others), H-, H+, H+ with H-.
+# An atom's letter is its (zero, one, two) triple in the first cube of `_products_of` (the
+# second's "one" equals its "two"). Of the 8 triples, (1, 0, 1) cannot occur: digit 0 keeps
+# an atom out of B+, so barring digit 1 puts it in B-, which bars digit 2. Per letter, its
+# first (H+, H-, B+, B-) pattern in enumeration order (lexicographic on the masks): absent,
+# B-, B+, tautological (B+ with B-, among others), H-, H+, H+ with H-.
 _LETTERS = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 0, 0), (1, 0, 0, 0),
             (1, 1, 0, 0))
 
@@ -102,13 +104,15 @@ def closure_experiment(alphabet: Alphabet, op: str, cap: int | None = None,
     """Scan all unordered pairs of representable sets for closure under union or intersection."""
     if op not in ("union", "intersection"):
         raise ValueError(f"unknown closure operation {op!r} (expected union or intersection)")
-    names = {s: secan(Rule(*map(alphabet.atoms_of, masks)))
-             for s, masks in _se_index(alphabet, cap, rule_cap).items()}
-    representable = sorted(names, key=SESet.sort_key)
-    counterexamples = []
+    table = _se_index(alphabet, cap, rule_cap)  # every representable set over the alphabet
+    representable = sorted(table, key=SESet.sort_key)
+    unclosed = []
     for s1, s2 in combinations_with_replacement(representable, 2):
         merged = s1 | s2 if op == "union" else s1 & s2
-        if merged not in names:  # names holds every representable set over the alphabet
-            counterexamples.append(ClosureCounterexample(names[s1], names[s2]))
+        if merged not in table:
+            unclosed.append((s1, s2))
+    names = {s: secan(Rule(*map(alphabet.atoms_of, table[s])))  # only the sets shown are named
+             for s in {s for pair in unclosed for s in pair}}
+    counterexamples = tuple(ClosureCounterexample(names[s1], names[s2]) for s1, s2 in unclosed)
     k = len(representable)  # k * (k + 1) / 2 unordered pairs, each set with itself included
-    return ClosureReport(op, alphabet, k, k * (k + 1) // 2, tuple(counterexamples))
+    return ClosureReport(op, alphabet, k, k * (k + 1) // 2, counterexamples)

@@ -12,8 +12,8 @@ J, 1 when it is in J but not in I, and 2 when it is in I:
     negative head:  not positive-body, and no missing pair gives the atom
                     digit 0
 
-So the classification reads the digit masks of the missing pairs, plus those
-of the missing pairs with J containing h, once for each positive-head atom h.
+So the classification reads the digit masks of the missing pairs, and of
+those whose J meets the positive head: the missing pairs minus one cube.
 The induced rule for the full set is the canonical tautology; otherwise it is
 built from the classification. Its SE-model set is always a subset of S, with
 equality exactly when some rule has S as its SE-models.
@@ -44,10 +44,9 @@ def classify_atoms(s: SESet, cap: int | None = None) -> AtomClassification:
     zero, one, two = missing.digits()
     pos_head, neg_head_ok = one & ~two, full & ~zero
     pos_body = neg_head_ok
-    for k in range(len(alphabet)):
-        if pos_head >> k & 1:  # the missing pairs with head atom k in J
-            head_in_j = missing & SESet.excluding(alphabet, [((0, full), (0, full & ~(1 << k)))], cap)
-            pos_body &= ~head_in_j.digits()[1]
+    if pos_head:  # the missing pairs whose J meets the positive head
+        head_in_j = missing & SESet.excluding(alphabet, [(full, full & ~pos_head, full & ~pos_head)], cap)
+        pos_body &= ~head_in_j.digits()[1]
     return AtomClassification(alphabet.atoms_of(full & ~(one | two)), alphabet.atoms_of(pos_head),
                               alphabet.atoms_of(pos_body), alphabet.atoms_of(neg_head_ok & ~pos_body))
 

@@ -6,9 +6,9 @@ SE-model of r when J classically satisfies r and I satisfies the reduct of r
 under J. `is_c_model`, `reduct` and `is_se_model` state that definition pair
 by pair. `se_models` instead computes the SE-set from the rule's four
 (H+, H-, B+, B-) masks in one kernel call, `SESet.excluding`: the full set
-minus the rule's two countermodel products (see the lattice module), a few
-integer operations with no walk over the pairs. A program's SE-set is one
-such call over the products of all its rules.
+minus the rule's two countermodel cubes (see `_products_of`), a few integer
+operations with no walk over the pairs. A program's SE-set is one such call
+over the cubes of all its rules.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from .core import (EPSILON, Alphabet, Interpretation, Program, Rule, SEInterpret
                    SESet, all_interpretations)
 
 Masks = tuple[int, int, int, int]
-Product = tuple[tuple[int, int], tuple[int, int]]  # (here, there) intervals of (bottom, top) masks
+Cube = tuple[int, int, int]  # the masks of the atoms that may take digit 0, 1 and 2
 
 
 def _masks(rule: Rule, alphabet: Alphabet) -> Masks:
@@ -67,16 +67,16 @@ def is_se_model(rule: Rule, se: SEInterpretation) -> bool:
     return is_c_model(rule, se.there) and is_c_model(reduct(rule, se.there), se.here)
 
 
-def _products_of(masks: Masks) -> tuple[Product, Product]:
+def _products_of(masks: Masks) -> tuple[Cube, Cube]:
     """The countermodel products L1 x L2 and all x (L1 n L2) of the proper rule with
-    (H+, H-, B+, B-) masks `masks`, where L1 = [B+, L \\ H+] and L2 = [H- u B+, L \\ B-].
-    A top may set bits above the alphabet; no pair reads them."""
+    (H+, H-, B+, B-) masks `masks`, where L1 = [B+, L \\ H+] and L2 = [H- u B+, L \\ B-],
+    as cubes (see `SESet.excluding`). Masks may set bits above the alphabet; no pair reads them."""
     hp, hn, bp, bn = masks
-    return ((bp, ~hp), (hn | bp, ~bn)), ((0, -1), (hn | bp, ~(hp | bn)))
+    return (~(hn | bp), ~(bp | bn), ~(hp | bn)), (~(hn | bp), ~(hp | bn), ~(hp | bn))
 
 
-def _rule_products(rules: Iterable[Rule], alphabet: Alphabet) -> Iterator[Product]:
-    """The countermodel products of the proper rules, computed as they are read, so
+def _rule_products(rules: Iterable[Rule], alphabet: Alphabet) -> Iterator[Cube]:
+    """The countermodel cubes of the proper rules, computed as they are read, so
     that the cap is checked before any rule's scope."""
     for rule in rules:
         if not rule.is_epsilon:

@@ -156,6 +156,7 @@ def test_se_set_algebra_matches_frozensets():
         sx, sy = SESet(a, x), SESet(a, y)
         assert (sx | sy).models == x | y
         assert (sx & sy).models == x & y
+        assert (sx ^ sy).models == x ^ y
         assert sx.complement().models == frozenset(pairs) - x
         assert len(sx) == len(x)
         assert all((m in sx) == (m in x) for m in pairs)
@@ -165,6 +166,8 @@ def test_se_set_algebra_matches_frozensets():
         assert list(sx.masks()) == masks
         assert SESet.from_masks(a, masks[::-1] + masks) == sx
         assert (sx == sy) == (x == y)
+    with pytest.raises(ValueError, match="different alphabets"):
+        sx ^ SESet(Alphabet(("p", "q")))
 
 
 def test_totals_matches_its_definition():
@@ -201,6 +204,26 @@ def test_digits_match_the_members_digits():
             assert s.digits() == by_members(s)
         assert SESet(a).digits() == (0, 0, 0)
         assert SESet.full(a).digits() == (a.full_mask,) * 3
+
+
+def test_excluding_matches_the_digit_definition_of_cubes():
+    def in_cube(m, cube):  # every atom's digit d has it in the d-th mask
+        return all(cube[(m.there.bits >> k & 1) + (m.here.bits >> k & 1)] >> k & 1
+                   for k in range(len(m.alphabet)))
+
+    rng = random.Random(43)
+    for n in range(1, 4):
+        a = Alphabet(tuple("pqr"[:n]))
+        pairs = all_se_interpretations(a)
+        for _ in range(200):
+            # masks over n + 2 bits, so some cubes set bits above the alphabet; about one
+            # cube in four leaves some atom no digit, and holds no pair
+            cubes = [tuple(rng.getrandbits(n + 2) for _ in range(3)) for _ in range(rng.randint(0, 3))]
+            cubes += [(-1, -1, -1)] * (rng.random() < 0.1)  # every bit set, above the alphabet too
+            expected = {m for m in pairs if not any(in_cube(m, c) for c in cubes)}
+            assert SESet.excluding(a, cubes).models == expected, cubes
+        assert SESet.excluding(a, [(0, 0, 0)]) == SESet.full(a)  # an empty cube
+        assert SESet.excluding(a, [(a.full_mask, 0, 0)]).models == set(pairs[1:])  # <{},{}> alone
 
 
 def test_masks_run_in_there_here_order():

@@ -176,7 +176,9 @@ def test_report_computes_each_rule_set_once(monkeypatch):
 def test_rule_functions_check_scope_and_need_no_se_set():
     taut = parse_rule("z :- z.")  # secan drops z
     for call in (lambda: is_se_tautology(taut, L2), lambda: se_equivalent_rules(taut, EPSILON, L2),
-                 lambda: equivalence_report(Program({taut}), Program(), L2)):
+                 lambda: equivalence_report(Program({taut}), Program(), L2),
+                 lambda: sr_equivalent(Program({taut}), Program(), L2),
+                 lambda: su_equivalent(Program(), Program({taut}), L2)):
         with pytest.raises(ScopeError, match="'z'"):
             call()
     wide = Alphabet(tuple("abcdefghijklmnopqrstuvwxyz"))  # 3^26 pairs, over the cap
@@ -184,6 +186,11 @@ def test_rule_functions_check_scope_and_need_no_se_set():
     assert not is_se_tautology(parse_rule("a :- z."), wide)
     assert se_equivalent_rules(parse_rule("a ; not b :- b."), parse_rule("a :- b."), wide)
     assert not se_equivalent_rules(parse_rule("a :- b."), parse_rule("b :- a."), wide)
+    left, right = prog("a :- b. c ; d :- not e. f :- g, not h."), prog("a :- b. c :- not e, not d.")
+    assert not sr_equivalent(left, right, wide) and not su_equivalent(left, right, wide)
+    variant = prog("a ; not b :- b. c ; d :- not e. f :- g, not h.")  # an SE-equal first rule
+    assert sr_equivalent(left, variant, wide) and not su_equivalent(left, variant, wide)
+    assert su_equivalent(left, prog("a :- b. z :- z. c ; d :- not e. f :- g, not h."), wide)
 
 
 def test_family_witness_needs_no_se_set_order(monkeypatch):

@@ -1,9 +1,12 @@
 """Countermodel intervals and rule representability."""
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
-from sekit import (EPSILON, Alphabet, Interpretation, Interval, Rule, SESet,
+import sekit.lattice
+from sekit import (EPSILON, Alphabet, Interpretation, Interval, Rule, SEInterpretation, SESet,
                    interval_countermodels, intervals_to_rule, is_rule_representable,
                    is_well_defined, parse_rule, rule_to_countermodel_intervals,
                    se_equivalent_rules, se_models)
@@ -47,6 +50,20 @@ def test_countermodel_equation_for_every_rule():
     for rule in enumerate_rules(L2):
         l1, l2 = rule_to_countermodel_intervals(rule, L2)
         assert interval_countermodels(l1, l2) == se_models(rule, L2).complement().models, rule
+
+
+def test_interval_countermodels_read_the_intervals_alone(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("interval_countermodels went through a rule")
+
+    monkeypatch.setattr(sekit.lattice, "se_models", refuse)
+    monkeypatch.setattr(sekit.lattice, "intervals_to_rule", refuse)
+    sides = [Interpretation(L2, bits) for bits in range(4)]
+    pairs = [SEInterpretation(i, j) for j in sides for i in sides if i <= j]
+    intervals = [Interval(bot, top) for bot in sides for top in sides]  # 7 of the 16 are empty
+    for l1, l2 in product(intervals, repeat=2):
+        naive = {m for m in pairs if m.here in l1 and m.there in l2 or m.there in l1 and m.there in l2}
+        assert interval_countermodels(l1, l2) == naive, (l1, l2)
 
 
 def test_intervals_to_rule_inverts_the_construction():

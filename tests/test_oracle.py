@@ -194,6 +194,22 @@ def test_closure_sweeps_share_one_class_table(monkeypatch):
     assert len(calls) == 7 ** 2  # one table for both sweeps, not one per sweep
 
 
+def test_closure_sweeps_name_only_the_sets_a_counterexample_shows(monkeypatch):
+    calls = []
+
+    def counting(rule):
+        calls.append(rule)
+        return secan(rule)
+
+    monkeypatch.setattr(sekit.oracle, "secan", counting)
+    fresh = Alphabet(("closure_p", "closure_q"))  # no table built for it yet
+    union, intersection = (closure_experiment(fresh, op) for op in ("union", "intersection"))
+    assert not union.counterexamples and len(intersection.counterexamples) == 211
+    assert len(calls) <= 30  # 28, the sets the counterexamples show, not all 30 classes per sweep
+    shown = {name for c in intersection.counterexamples for name in (c.left, c.right)}
+    assert shown == {secan(rule) for rule in calls}
+
+
 def test_census_builds_no_rule(monkeypatch):
     built = []
     post_init = Rule.__post_init__

@@ -102,8 +102,9 @@ def test_classification_matches_the_naive_reference():
             assert classify_atoms(s) == _naive_classification(s), (n, k)
 
 
-def test_induce_rule_builds_one_product_per_positive_head_atom(monkeypatch):
-    s = se_models(parse_rule("a ; not b :- c, not d."), Alphabet(tuple("abcdefgh")))
+def test_induce_rule_builds_at_most_one_product(monkeypatch):
+    rules = [parse_rule(text) for text in ("a ; not b :- c, not d.", "a ; e ; f ; not b :- c, not d.")]
+    sets = [se_models(rule, Alphabet(tuple("abcdefgh"))) for rule in rules]
     product, calls = sekit.core._product, []
 
     def counting(*args):
@@ -111,5 +112,7 @@ def test_induce_rule_builds_one_product_per_positive_head_atom(monkeypatch):
         return product(*args)
 
     monkeypatch.setattr(sekit.core, "_product", counting)
-    assert induce_rule(s) == parse_rule("a ; not b :- c, not d.")
-    assert len(calls) <= 1
+    for rule, s in zip(rules, sets):
+        calls.clear()
+        assert induce_rule(s) == rule
+        assert len(calls) <= 1  # one for the whole positive head, not one per atom
