@@ -232,15 +232,15 @@ class SESet:
     _bits: int
 
     def __init__(self, alphabet: Alphabet, models: Iterable[SEInterpretation] = frozenset()) -> None:
-        def indices() -> Iterator[int]:
+        def pairs() -> Iterator[tuple[int, int]]:
             for k, m in enumerate(models):
                 if m.alphabet != alphabet:
                     raise ValueError(f"SE-interpretation {m!r} is not over alphabet {alphabet.atoms}")
                 if not k and alphabet.atoms:  # one member costs 3^n bits: check the cap first
                     _check_enumerable(alphabet, None)
-                yield _ternary(m.here.bits) + _ternary(m.there.bits)
+                yield m.here.bits, m.there.bits
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "_bits", _bits_of(indices()))
+        object.__setattr__(self, "_bits", _bits_of(alphabet, pairs()))
 
     @classmethod
     def _of(cls, alphabet: Alphabet, bits: int) -> "SESet":
@@ -253,21 +253,9 @@ class SESet:
     def from_masks(cls, alphabet: Alphabet, pairs: Iterable[tuple[int, int]],
                    cap: int | None = None) -> "SESet":
         """The pairs <I,J> given as (here, there) bit masks, the inverse of `masks`.
-        The cap is checked before `pairs` is read. Each distinct side's index is
-        computed once: a document repeats every side many times."""
-        n, index = _check_enumerable(alphabet, cap), {}
-
-        def indices() -> Iterator[int]:
-            for here, there in pairs:
-                if here & ~there or there >> n:  # the checked constructors name the fault
-                    SEInterpretation(Interpretation(alphabet, here), Interpretation(alphabet, there))
-                i, j = index.get(here), index.get(there)
-                if i is None:
-                    i = index[here] = _ternary(here)
-                if j is None:
-                    j = index[there] = _ternary(there)
-                yield i + j
-        return cls._of(alphabet, _bits_of(indices()))
+        The cap is checked before `pairs` is read."""
+        _check_enumerable(alphabet, cap)
+        return cls._of(alphabet, _bits_of(alphabet, pairs))
 
     @classmethod
     def full(cls, alphabet: Alphabet, cap: int | None = None) -> "SESet":
@@ -428,11 +416,22 @@ def _totals(bits: int, k: int) -> int:
     return out | _totals(up, k - 1) << 2 * step if up else out
 
 
-def _bits_of(indices: Iterable[int]) -> int:
-    """The integer with the bits `indices` set. `bits |= 1 << k` copies the whole integer per
-    bit; a bytearray takes each bit in place and grows only to the largest index."""
-    buf = bytearray()
-    for k in indices:
+def _bits_of(alphabet: Alphabet, pairs: Iterable[tuple[int, int]]) -> int:
+    """The bits of the pairs <I,J> given as (here, there) masks over the alphabet. Each distinct
+    side's index is computed once: a set repeats every side many times. `bits |= 1 << k` copies
+    the whole integer per bit; a bytearray takes each bit in place and grows only to the largest
+    index."""
+    n, index, buf = len(alphabet.atoms), {}, bytearray()
+    for here, there in pairs:
+        if here & ~there or there >> n:  # the checked constructors name the fault
+            SEInterpretation(Interpretation(alphabet, here), Interpretation(alphabet, there))
+        i = index.get(here)
+        if i is None:
+            i = index[here] = _ternary(here)
+        j = index.get(there)  # read after `here` is stored: a total pair has one side
+        if j is None:
+            j = index[there] = _ternary(there)
+        k = i + j
         byte = k >> 3
         if byte >= len(buf):
             buf += bytes(byte + 1 - len(buf))

@@ -15,9 +15,11 @@ falsity rule (empty head, empty body); "#taut." is the canonical tautology.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import ATOM_PATTERN, EPSILON, Alphabet, Program, Rule
+from .core import EPSILON, Alphabet, Program, Rule
 
 
 @dataclass(frozen=True)
@@ -41,78 +43,57 @@ class ParseError(ValueError):
         super().__init__(where + message)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ATOM NOT SEMI COMMA ARROW DOT TAUT EOF
     value: str
-    line: int
-    column: int
+    offset: int  # into the text; `_error` turns it into a line and a column
 
 
-_IDENT_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
-_PUNCTUATION = {";": "SEMI", ",": "COMMA", ".": "DOT"}
+# One lexeme per match, after blanks and the comments that end a line. The group that matched
+# names the token. WORD (a word not starting [a-z]), DIRECTIVE (other than #taut) and OTHER are
+# errors. A comment on the last line ends the text at its "%". re.ASCII makes \w the identifier
+# characters [A-Za-z0-9_].
+_LEXEME = re.compile(r"(?:[ \t\r\n]+|%[^\n]*\n)*(?:"
+                     r"(?P<NOT>not\b)|(?P<ATOM>[a-z]\w*)|(?P<WORD>[A-Z_]\w*)"
+                     r"|(?P<ARROW>:-)|(?P<SEMI>;)|(?P<COMMA>,)|(?P<DOT>\.)"
+                     r"|(?P<TAUT>#taut\b)|(?P<DIRECTIVE>#\w*)|(?P<EOF>(?:%[^\n]*)?\Z)|(?P<OTHER>.))",
+                     re.ASCII | re.DOTALL)
+
+
+def _error(message: str, text: str, offset: int, origin: str,
+           rule_index: int | None = None) -> ParseError:
+    """The error at `offset` in `text`: lines and columns are counted only here."""
+    column = offset - text.rfind("\n", 0, offset)
+    return ParseError(message, text.count("\n", 0, offset) + 1, column, origin, rule_index)
 
 
 def _tokenize(text: str, origin: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c.isalpha() or c == "_":
-            start, start_col = i, col
-            while i < n and text[i] in _IDENT_CHARS:
-                i += 1
-                col += 1
-            word = text[start:i]
-            if word == "not":
-                tokens.append(_Token("NOT", word, line, start_col))
-            elif ATOM_PATTERN.match(word):
-                tokens.append(_Token("ATOM", word, line, start_col))
-            else:
-                raise ParseError(f"invalid atom {word!r} (atoms match [a-z][A-Za-z0-9_]*)",
-                                 line, start_col, origin)
-        elif c in _PUNCTUATION:
-            tokens.append(_Token(_PUNCTUATION[c], c, line, col))
-            i += 1
-            col += 1
-        elif c == ":" and i + 1 < n and text[i + 1] == "-":
-            tokens.append(_Token("ARROW", ":-", line, col))
-            i += 2
-            col += 2
-        elif c == "#":
-            start_col = col
-            i += 1
-            col += 1
-            start = i
-            while i < n and text[i] in _IDENT_CHARS:
-                i += 1
-                col += 1
-            word = text[start:i]
-            if word != "taut":
-                raise ParseError(f"unknown directive '#{word}'", line, start_col, origin)
-            tokens.append(_Token("TAUT", "#taut", line, start_col))
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col, origin)
-    tokens.append(_Token("EOF", "", line, col))
+    for match in _LEXEME.finditer(text):
+        kind = match.lastgroup
+        value, offset = match[kind], match.start(kind)
+        if kind == "OTHER" and not value.isalpha():
+            raise _error(f"unexpected character {value!r}", text, offset, origin)
+        if kind in ("WORD", "OTHER"):  # a letter outside ASCII starts a word of no characters
+            word = value if kind == "WORD" else ""
+            raise _error(f"invalid atom {word!r} (atoms match [a-z][A-Za-z0-9_]*)",
+                         text, offset, origin)
+        if kind == "DIRECTIVE":
+            raise _error(f"unknown directive '{value}'", text, offset, origin)
+        tokens.append(_Token(kind, value, offset))
+        if kind == "EOF":
+            break
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], origin: str):
-        self.tokens = tokens
+    def __init__(self, source: str | SourceProgram):
+        if isinstance(source, SourceProgram):
+            self.text, self.origin = source.text, source.origin
+        else:
+            self.text, self.origin = source, "<string>"
+        self.tokens = _tokenize(self.text, self.origin)
         self.pos = 0
-        self.origin = origin
         self.rule_index: int | None = None
 
     def peek(self) -> _Token:
@@ -124,7 +105,7 @@ class _Parser:
         return token
 
     def fail(self, message: str, token: _Token) -> ParseError:
-        raise ParseError(message, token.line, token.column, self.origin, self.rule_index)
+        raise _error(message, self.text, token.offset, self.origin, self.rule_index)
 
     def expect(self, kind: str, what: str) -> _Token:
         token = self.peek()
@@ -133,13 +114,22 @@ class _Parser:
                       else f"expected {what}, found end of input", token)
         return self.advance()
 
-    def literal(self) -> tuple[bool, str]:
-        nots = 0
-        while self.peek().kind == "NOT":
-            self.advance()
-            nots += 1
-        token = self.expect("ATOM", "an atom")
-        return nots % 2 == 1, token.value
+    def literals(self, separator: str) -> tuple[set[str], set[str]]:
+        """The positive and the negated atoms of a list of literals joined by `separator`,
+        which may be empty. Stacked default negation absorbs pairwise."""
+        pos: set[str] = set()
+        neg: set[str] = set()
+        if self.peek().kind in ("ATOM", "NOT"):
+            while True:
+                nots = 0
+                while self.peek().kind == "NOT":
+                    self.advance()
+                    nots += 1
+                (neg if nots % 2 else pos).add(self.expect("ATOM", "an atom").value)
+                if self.peek().kind != separator:
+                    break
+                self.advance()
+        return pos, neg
 
     def rule(self) -> Rule:
         token = self.peek()
@@ -147,44 +137,22 @@ class _Parser:
             self.advance()
             self.expect("DOT", "'.'")
             return EPSILON
-        head_pos: set[str] = set()
-        head_neg: set[str] = set()
-        body_pos: set[str] = set()
-        body_neg: set[str] = set()
-        if token.kind in ("ATOM", "NOT"):
-            while True:
-                negated, atom = self.literal()
-                (head_neg if negated else head_pos).add(atom)
-                if self.peek().kind != "SEMI":
-                    break
-                self.advance()
-        elif token.kind != "ARROW":
+        if token.kind not in ("ATOM", "NOT", "ARROW"):
             self.fail("expected a literal, ':-' or '#taut'"
                       if token.kind != "EOF" else "expected a rule, found end of input", token)
+        head_pos, head_neg = self.literals("SEMI")
+        body_pos, body_neg = set(), set()
         if self.peek().kind == "ARROW":
             self.advance()
-            if self.peek().kind in ("ATOM", "NOT"):
-                while True:
-                    negated, atom = self.literal()
-                    (body_neg if negated else body_pos).add(atom)
-                    if self.peek().kind != "COMMA":
-                        break
-                    self.advance()
+            body_pos, body_neg = self.literals("COMMA")
         self.expect("DOT", "'.'")
         return Rule(head_pos=head_pos, head_neg=head_neg,
                     body_pos=body_pos, body_neg=body_neg)
 
 
-def _unpack(source: str | SourceProgram) -> tuple[str, str]:
-    if isinstance(source, SourceProgram):
-        return source.text, source.origin
-    return source, "<string>"
-
-
 def parse_rule(source: str | SourceProgram) -> Rule:
     """Parse exactly one rule."""
-    text, origin = _unpack(source)
-    parser = _Parser(_tokenize(text, origin), origin)
+    parser = _Parser(source)
     rule = parser.rule()
     trailing = parser.peek()
     if trailing.kind != "EOF":
@@ -198,8 +166,7 @@ def parse_program(source: str | SourceProgram) -> tuple[Program, Alphabet]:
     The inferred alphabet holds exactly the atoms that occur in the text and
     may be empty, in which case the caller must supply one for semantic work.
     """
-    text, origin = _unpack(source)
-    parser = _Parser(_tokenize(text, origin), origin)
+    parser = _Parser(source)
     rules: set[Rule] = set()
     index = 1
     while parser.peek().kind != "EOF":

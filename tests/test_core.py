@@ -253,6 +253,23 @@ def test_from_masks_checks_pairs_and_cap():
     assert len(SESet(Alphabet(()))) == len(SESet(Alphabet(tuple(f"a{k}" for k in range(21))))) == 0
 
 
+def test_object_constructor_reads_each_side_once(monkeypatch):
+    a = Alphabet(("p", "q", "r"))
+    members = random.Random(7).sample(all_se_interpretations(a), 12)
+    calls = []
+    ternary = sekit.core._ternary
+
+    def counting(bits):
+        calls.append(bits)
+        return ternary(bits)
+
+    monkeypatch.setattr(sekit.core, "_ternary", counting)
+    s = SESet(a, members)
+    assert sorted(calls) == sorted({m.here.bits for m in members} | {m.there.bits for m in members})
+    assert set(s.sorted_models()) == set(members)
+    empty = Alphabet(())
+    assert SESet(empty, [SEInterpretation(Interpretation(empty, 0), Interpretation(empty, 0))])._bits == 1
+
 def test_program_sorts_its_rules_once(monkeypatch):
     calls = []
 

@@ -89,6 +89,30 @@ def test_parse_rule_rejects(text):
         parse_rule(text)
 
 
+_INVALID_ATOM = "invalid atom {!r} (atoms match [a-z][A-Za-z0-9_]*)"
+
+
+@pytest.mark.parametrize("parse, text, line, column, message", [
+    (parse_rule, "P.", 1, 1, _INVALID_ATOM.format("P")),
+    (parse_rule, "_x.", 1, 1, _INVALID_ATOM.format("_x")),
+    (parse_rule, "\u00e9.", 1, 1, _INVALID_ATOM.format("")),  # a non-ASCII letter starts an empty word
+    (parse_rule, "p :- 1a.", 1, 6, "unexpected character '1'"),
+    (parse_rule, "p & q.", 1, 3, "unexpected character '&'"),
+    (parse_rule, "#foo.", 1, 1, "unknown directive '#foo'"),
+    (parse_rule, "# .", 1, 1, "unknown directive '#'"),
+    (parse_rule, "p :- q", 1, 7, "expected '.', found end of input"),
+    (parse_rule, "p :- q % no dot", 1, 8, "expected '.', found end of input"),  # the end is at the '%'
+    (parse_program, "p.\r\nq :- r\ns.", 3, 1, "rule 2: expected '.', found 's'"),
+    (parse_program, "p.\n% c\nq :- r, % c", 3, 9, "rule 2: expected an atom, found end of input"),
+    (parse_rule, "p. q.", 1, 4, "unexpected trailing input 'q'"),
+    (parse_program, "p :-\n  not #taut.", 2, 7, "rule 1: expected an atom, found '#taut'"),
+])
+def test_parse_error_text_and_position(parse, text, line, column, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"<string>:{line}:{column}: {message}"
+
 def test_parse_error_carries_position_and_origin():
     with pytest.raises(ParseError) as err:
         parse_rule(SourceProgram("p :-\n  Q.", origin="bad.lp"))
@@ -118,7 +142,8 @@ def test_head_literal_order_is_irrelevant(order):
 
 _PROGRAM_PIECES = st.sampled_from(["p", "q1", "nota", "not", "not not", " ", "\t", "\r", "\n", ";",
                                    ",", ".", ":-", ":", "-", "#taut", "#", "#tau", "%", "_x", "P",
-                                   "\u00e9", "\u00df", "0"])
+                                   "\u00e9", "\u00df", "0", "\u00bd", "\u0661", "#\u00e9", "\r\n",
+                                   "not_x", "1a", "% c"])
 
 
 @seed(2011)
