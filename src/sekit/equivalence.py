@@ -7,18 +7,17 @@ Four notions over a fixed alphabet, from weakest to strongest:
     sr   the families of rule SE-model sets coincide (tautology adjoined)
     su   the symmetric difference contains only SE-tautological rules
 
-Each stronger notion implies the ones below it.
+Each stronger notion implies the ones below it. Only s builds SE-sets and obeys the cap; for
+smr, sr and su, which read canonical forms and countermodel cubes alone, `cap` is unused.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 from typing import Mapping
 
-from .core import (EPSILON, Alphabet, Interpretation, Program, Rule, SEInterpretation, SESet,
-                   rule_key)
-from .semantics import _canonical, se_models
+from .core import EPSILON, Alphabet, Interpretation, Program, Rule, SEInterpretation, rule_key
+from .semantics import _canonical, _covered, _masks, _products_of, se_models_program
 
 
 class EquivalenceNotion(Enum):
@@ -42,21 +41,24 @@ def _syntax(p1: Program, p2: Program, alphabet: Alphabet) -> tuple:
     return canon, families, [r for r in p1.rules ^ p2.rules if canon[r] != EPSILON]
 
 
-def _compare(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None) -> tuple:
-    """The four verdicts and, for the witnesses, the output of `_syntax` with per program
-    the SE-models and the minimal members of the rule family."""
-    canon, families, untaut = _syntax(p1, p2, alphabet)
-    sets = {c: se_models(c, alphabet, cap) for c in set(canon.values())}  # read by s and smr only
-    models = [reduce(SESet.__and__, (sets[c] for c in f)) for f in families]
-    minimal = [frozenset(c for c in f if not any(sets[d] < sets[c] for d in f)) for f in families]
-    verdicts = {EquivalenceNotion.S: models[0] == models[1],
-                EquivalenceNotion.SR: families[0] == families[1],
-                EquivalenceNotion.SMR: minimal[0] == minimal[1], EquivalenceNotion.SU: not untaut}
-    return verdicts, canon, models, families, minimal, untaut
+def _minimal(families: list[frozenset[Rule]], alphabet: Alphabet) -> list[frozenset[Rule]]:
+    """Per family, the members whose SE-set holds no other member's: SE(d) lies in SE(c) when
+    d's two cubes cover each of c's. The tautology has no cubes, so it is minimal only alone.
+    Distinct forms have distinct SE-sets, and each form's cubes are one tuple, told by `is`."""
+    cubes = {c: () if c.is_epsilon else _products_of(_masks(c, alphabet))
+             for c in families[0] | families[1]}  # once for both families
+    minimal = []
+    for family in families:
+        own = {c: cubes[c] for c in family}
+        proper = [y for y in own.values() if y]
+        minimal.append(frozenset(c for c, x in own.items() if not any(
+            y is not x and (not x or _covered(x[0], *y) and _covered(x[1], *y)) for y in proper)))
+    return minimal
 
 
 def strongly_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
-    return _compare(p1, p2, alphabet, cap)[0][EquivalenceNotion.S]
+    _syntax(p1, p2, alphabet)  # every rule's scope, checked before the cap
+    return se_models_program(p1, alphabet, cap) == se_models_program(p2, alphabet, cap)
 
 
 def sr_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
@@ -66,7 +68,10 @@ def sr_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None 
 
 
 def smr_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
-    return _compare(p1, p2, alphabet, cap)[0][EquivalenceNotion.SMR]
+    """Equal minimal members of the rule families, by cube cover; `cap` is unused."""
+    families = _syntax(p1, p2, alphabet)[1]
+    minimal = _minimal(families, alphabet)
+    return minimal[0] == minimal[1]
 
 
 def su_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
@@ -122,7 +127,11 @@ def _family_witness(fam1: frozenset[Rule], fam2: frozenset[Rule], p1: Program, p
 def equivalence_report(p1: Program, p2: Program, alphabet: Alphabet,
                        cap: int | None = None) -> EquivalenceReport:
     """All four verdicts plus a distinguishing witness for every failure."""
-    verdicts, canon, (m1, m2), families, minimal, untaut = _compare(p1, p2, alphabet, cap)
+    canon, families, untaut = _syntax(p1, p2, alphabet)
+    m1, m2 = se_models_program(p1, alphabet, cap), se_models_program(p2, alphabet, cap)
+    minimal = _minimal(families, alphabet)
+    verdicts = {EquivalenceNotion.S: m1 == m2, EquivalenceNotion.SR: families[0] == families[1],
+                EquivalenceNotion.SMR: minimal[0] == minimal[1], EquivalenceNotion.SU: not untaut}
     witnesses: dict[EquivalenceNotion, object] = {}
     if not verdicts[EquivalenceNotion.S]:
         here, there = next((m1 ^ m2).masks())  # the first in (there, here) order

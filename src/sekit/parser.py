@@ -44,20 +44,22 @@ class ParseError(ValueError):
 
 
 class _Token(NamedTuple):
-    kind: str  # ATOM NOT SEMI COMMA ARROW DOT TAUT EOF
+    kind: str  # ATOM NOT SEMI COMMA ARROW DOT TAUT EOF, or a fault in _FAULTS
     value: str
     offset: int  # into the text; `_error` turns it into a line and a column
 
 
-# One lexeme per match, after blanks and the comments that end a line. The group that matched
-# names the token. WORD (a word not starting [a-z]), DIRECTIVE (other than #taut) and OTHER are
-# errors. A comment on the last line ends the text at its "%". re.ASCII makes \w the identifier
-# characters [A-Za-z0-9_].
-_LEXEME = re.compile(r"(?:[ \t\r\n]+|%[^\n]*\n)*(?:"
+# One lexeme per match, after blanks and comments. The group that matched names the token.
+# re.ASCII makes \w the identifier characters [A-Za-z0-9_].
+_LEXEME = re.compile(r"(?:[ \t\r\n]+|%[^\n]*\n?)*(?:"
                      r"(?P<NOT>not\b)|(?P<ATOM>[a-z]\w*)|(?P<WORD>[A-Z_]\w*)"
                      r"|(?P<ARROW>:-)|(?P<SEMI>;)|(?P<COMMA>,)|(?P<DOT>\.)"
-                     r"|(?P<TAUT>#taut\b)|(?P<DIRECTIVE>#\w*)|(?P<EOF>(?:%[^\n]*)?\Z)|(?P<OTHER>.))",
+                     r"|(?P<TAUT>#taut\b)|(?P<DIRECTIVE>#\w*)|(?P<EOF>\Z)|(?P<OTHER>.))",
                      re.ASCII | re.DOTALL)
+
+# The tokens that are lexical faults, with their messages (see `_Parser.fail`).
+_FAULTS = {"WORD": "invalid atom {!r} (atoms match [a-z][A-Za-z0-9_]*)",
+           "DIRECTIVE": "unknown directive {!r}", "OTHER": "unexpected character {!r}"}
 
 
 def _error(message: str, text: str, offset: int, origin: str,
@@ -67,48 +69,29 @@ def _error(message: str, text: str, offset: int, origin: str,
     return ParseError(message, text.count("\n", 0, offset) + 1, column, origin, rule_index)
 
 
-def _tokenize(text: str, origin: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for match in _LEXEME.finditer(text):
-        kind = match.lastgroup
-        value, offset = match[kind], match.start(kind)
-        if kind == "OTHER" and not value.isalpha():
-            raise _error(f"unexpected character {value!r}", text, offset, origin)
-        if kind in ("WORD", "OTHER"):  # a letter outside ASCII starts a word of no characters
-            word = value if kind == "WORD" else ""
-            raise _error(f"invalid atom {word!r} (atoms match [a-z][A-Za-z0-9_]*)",
-                         text, offset, origin)
-        if kind == "DIRECTIVE":
-            raise _error(f"unknown directive '{value}'", text, offset, origin)
-        tokens.append(_Token(kind, value, offset))
-        if kind == "EOF":
-            break
-    return tokens
-
-
 class _Parser:
     def __init__(self, source: str | SourceProgram):
-        if isinstance(source, SourceProgram):
-            self.text, self.origin = source.text, source.origin
-        else:
-            self.text, self.origin = source, "<string>"
-        self.tokens = _tokenize(self.text, self.origin)
-        self.pos = 0
+        source = source if isinstance(source, SourceProgram) else SourceProgram(source)
+        self.text, self.origin = source.text, source.origin
+        self.tokens = (_Token(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
+                       for m in _LEXEME.finditer(self.text))  # read lazily, in text order
+        self.lookahead = next(self.tokens)  # the one token read ahead
         self.rule_index: int | None = None
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
     def advance(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
+        """The lookahead, once the caller has matched it; a parser never reads past the end."""
+        token, self.lookahead = self.lookahead, next(self.tokens)
         return token
 
     def fail(self, message: str, token: _Token) -> ParseError:
+        """Raise `message` at `token`, or the token's fault when it is one. No rule of the grammar
+        takes a fault, so the parser fails at the first one it reaches, and only there."""
+        if token.kind in _FAULTS:
+            message = _FAULTS[token.kind].format(token.value)
         raise _error(message, self.text, token.offset, self.origin, self.rule_index)
 
     def expect(self, kind: str, what: str) -> _Token:
-        token = self.peek()
+        token = self.lookahead
         if token.kind != kind:
             self.fail(f"expected {what}, found {token.value!r}" if token.kind != "EOF"
                       else f"expected {what}, found end of input", token)
@@ -119,20 +102,20 @@ class _Parser:
         which may be empty. Stacked default negation absorbs pairwise."""
         pos: set[str] = set()
         neg: set[str] = set()
-        if self.peek().kind in ("ATOM", "NOT"):
+        if self.lookahead.kind in ("ATOM", "NOT"):
             while True:
                 nots = 0
-                while self.peek().kind == "NOT":
+                while self.lookahead.kind == "NOT":
                     self.advance()
                     nots += 1
                 (neg if nots % 2 else pos).add(self.expect("ATOM", "an atom").value)
-                if self.peek().kind != separator:
+                if self.lookahead.kind != separator:
                     break
                 self.advance()
         return pos, neg
 
     def rule(self) -> Rule:
-        token = self.peek()
+        token = self.lookahead
         if token.kind == "TAUT":
             self.advance()
             self.expect("DOT", "'.'")
@@ -142,7 +125,7 @@ class _Parser:
                       if token.kind != "EOF" else "expected a rule, found end of input", token)
         head_pos, head_neg = self.literals("SEMI")
         body_pos, body_neg = set(), set()
-        if self.peek().kind == "ARROW":
+        if self.lookahead.kind == "ARROW":
             self.advance()
             body_pos, body_neg = self.literals("COMMA")
         self.expect("DOT", "'.'")
@@ -154,7 +137,7 @@ def parse_rule(source: str | SourceProgram) -> Rule:
     """Parse exactly one rule."""
     parser = _Parser(source)
     rule = parser.rule()
-    trailing = parser.peek()
+    trailing = parser.lookahead
     if trailing.kind != "EOF":
         parser.fail(f"unexpected trailing input {trailing.value!r}", trailing)
     return rule
@@ -167,12 +150,11 @@ def parse_program(source: str | SourceProgram) -> tuple[Program, Alphabet]:
     may be empty, in which case the caller must supply one for semantic work.
     """
     parser = _Parser(source)
+    parser.rule_index = 1
     rules: set[Rule] = set()
-    index = 1
-    while parser.peek().kind != "EOF":
-        parser.rule_index = index
+    while parser.lookahead.kind != "EOF":
         rules.add(parser.rule())
-        index += 1
+        parser.rule_index += 1
     program = Program(frozenset(rules))
     return program, Alphabet(tuple(program.atoms))
 

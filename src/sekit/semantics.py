@@ -75,6 +75,20 @@ def _products_of(masks: Masks) -> tuple[Cube, Cube]:
     return (~(hn | bp), ~(bp | bn), ~(hp | bn)), (~(hn | bp), ~(hp | bn), ~(hp | bn))
 
 
+def _covered(c: Cube, a: Cube, b: Cube) -> bool:
+    """Whether cube `c` lies in the union of cubes `a` and `b`. Let D be the atoms where c allows
+    a digit that a lacks; c \\ a is the union, over k in D, of c with k narrowed to those digits.
+    So c is covered when it or D is empty, when D has two atoms or more and c lies in b, or when
+    D is {k}, c lies in b off k and b has the digits at k that c allows and a lacks."""
+    (c0, c1, c2), (a0, a1, a2), (b0, b1, b2) = c, a, b
+    d0, d1, d2 = c0 & ~a0, c1 & ~a1, c2 & ~a2  # finite: the cubes' masks are negative ints
+    d = d0 | d1 | d2
+    if ~(c0 | c1 | c2) or not d:  # an atom that takes no digit in c, or c inside a
+        return True
+    out = c0 & ~b0 | c1 & ~b1 | c2 & ~b2  # the atoms where c leaves b
+    return not (out if d & d - 1 else out & ~d | d0 & ~b0 | d1 & ~b1 | d2 & ~b2)
+
+
 def _rule_products(rules: Iterable[Rule], alphabet: Alphabet) -> Iterator[Cube]:
     """The countermodel cubes of the proper rules, computed as they are read, so
     that the cap is checked before any rule's scope."""

@@ -45,6 +45,11 @@ def se_models(rule: Rule, atoms) -> set[tuple[frozenset[str], frozenset[str]]]:
     return out
 
 
+def se_entails(r1: Rule, r2: Rule, atoms) -> bool:
+    """SE(r1) is a subset of SE(r2): every SE-model of r1 is one of r2."""
+    return frozenset(se_models(r1, atoms)) <= frozenset(se_models(r2, atoms))
+
+
 def answer_sets(rules, atoms) -> set[frozenset[str]]:
     """Subset-minimal classical models of the program's reduct, per candidate."""
     subs = powerset(atoms)

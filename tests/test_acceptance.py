@@ -14,7 +14,7 @@ from sekit import (EPSILON, Alphabet, EquivalenceNotion, Interpretation, Rule, S
                    SESet, answer_sets, c_models, equivalence_report, induce_rule, is_canonical,
                    is_rule_representable, is_se_tautology, is_well_defined,
                    parse_program, parse_rule, print_rule, se_models,
-                   se_models_program, secan, count_se_classes)
+                   se_models_program, secan, smr_equivalent, count_se_classes)
 from sekit.oracle import enumerate_rules
 from test_reconstruct import all_se_subsets
 
@@ -199,3 +199,16 @@ def test_criterion_14_dense_document_build():
         ok = ok and built == s
     _report(14, "document of 492,075 members read back at 12 atoms", ok and len(pairs) == 492075,
             build_s, 0.75)
+
+
+def test_criterion_15_smr_from_syntax():
+    left, _ = parse_program("a :- b. c ; d :- not e. f :- g, not h.")
+    right, _ = parse_program("a :- b. c :- not e, not d.")
+    wide = Alphabet(tuple("abcdefghijklmnopqrstuvwxyz"))  # 3^26 pairs, over the cap
+    smr_s, ok = float("inf"), True
+    for _ in range(3):  # best of three
+        start = time.perf_counter()
+        verdict = smr_equivalent(left, right, wide)
+        smr_s = min(smr_s, time.perf_counter() - start)
+        ok = ok and not verdict
+    _report(15, "smr of an 8-atom program pair over 26 atoms", ok, smr_s, 0.05)

@@ -6,12 +6,13 @@ import random
 import pytest
 from hypothesis import given
 
+import naive
 import strategies
-from sekit import (EPSILON, Alphabet, EquivalenceNotion, FamilyWitness, Program, ScopeError,
-                   SEModelWitness, TautologyWitness, equivalence_report, is_se_tautology,
-                   parse_program, parse_rule, se_equivalent_rules, se_models,
-                   se_models_program, secan, smr_equivalent, sr_equivalent,
-                   strongly_equivalent, su_equivalent)
+from sekit import (EPSILON, Alphabet, EquivalenceNotion, FamilyWitness, Program, Rule, ScopeError,
+                   SEModelWitness, SESet, TautologyWitness, equivalence_report, is_se_tautology,
+                   parse_program, parse_rule, rule_key, se_equivalent_rules, se_models,
+                   se_models_program, smr_equivalent, sr_equivalent, strongly_equivalent,
+                   su_equivalent)
 
 L1 = Alphabet(("p",))
 L2 = Alphabet(("p", "q"))
@@ -148,29 +149,76 @@ def test_report_verdicts_match_the_public_functions_and_the_program_semantics():
                                                      for r in p1.rules ^ p2.rules)
 
 
-def test_report_computes_each_rule_set_once(monkeypatch):
+def _naive_minimal(program, atoms):
+    """The subset-minimal members of the program's family of rule SE-sets, tautology adjoined."""
+    family = {frozenset(naive.se_models(r, atoms)) for r in program.rules | {EPSILON}}
+    return {s for s in family if not any(t < s for t in family)}
+
+
+def test_smr_matches_minimal_families_of_naive_se_sets():
+    rng, agreed = random.Random(2004), 0
+    for atoms in ("p", "pq", "pqr", "pqrs"):
+        alphabet = Alphabet(tuple(atoms))
+        for _ in range(100):
+            p1 = strategies.random_program(rng, atoms)
+            rules = sorted(p1.rules, key=rule_key)
+            edit = rng.randrange(3)  # a fresh program, one rule weakened and added, or one dropped
+            if edit == 0 or not rules:
+                p2 = strategies.random_program(rng, atoms)
+            elif edit == 1:
+                r = rng.choice(rules)
+                extra = frozenset(a for a in atoms if rng.random() < 0.3)
+                p2 = Program(p1.rules | {Rule(r.head_pos, r.head_neg, r.body_pos | extra, r.body_neg)})
+            else:
+                p2 = Program(p1.rules - {rng.choice(rules)})
+            minimal = _naive_minimal(p1, atoms), _naive_minimal(p2, atoms)
+            report = equivalence_report(p1, p2, alphabet)
+            verdict = report.verdicts[EquivalenceNotion.SMR]
+            assert verdict == smr_equivalent(p1, p2, alphabet) == (minimal[0] == minimal[1])
+            agreed += verdict
+            witness = report.witnesses.get(EquivalenceNotion.SMR)
+            if witness is not None:
+                mine, other = minimal if witness.side == "left" else minimal[::-1]
+                side = p1 if witness.side == "left" else p2
+                assert witness.rule in side.rules | {EPSILON}
+                found = frozenset(naive.se_models(witness.rule, atoms))
+                assert found in mine and found not in other
+    assert 100 < agreed < 300, agreed  # both verdicts are exercised
+
+
+def test_report_builds_se_sets_for_s_alone(monkeypatch):
     import sekit.equivalence
     import sekit.semantics
-    calls = []
-    real = sekit.semantics.se_models
+    rule_sets, built, made = [], [], []
+    real_se_models, real_excluding, real_of = se_models, SESet.excluding.__func__, SESet._of.__func__
 
-    def counting(rule, alphabet, cap=None):
-        calls.append(rule)
-        return real(rule, alphabet, cap)
+    def counting_se_models(rule, alphabet, cap=None):
+        rule_sets.append(rule)
+        return real_se_models(rule, alphabet, cap)
 
-    monkeypatch.setattr(sekit.equivalence, "se_models", counting)
-    monkeypatch.setattr(sekit.semantics, "se_models", counting)
+    def counting_excluding(cls, alphabet, cubes, cap=None):
+        built.append(alphabet)
+        return real_excluding(cls, alphabet, cubes, cap)
+
+    def counting_of(cls, alphabet, bits):
+        made.append(alphabet)
+        return real_of(cls, alphabet, bits)
+
+    monkeypatch.setattr(sekit.semantics, "se_models", counting_se_models)
+    monkeypatch.setattr(sekit.equivalence, "se_models", counting_se_models, raising=False)
+    monkeypatch.setattr(SESet, "excluding", classmethod(counting_excluding))
+    monkeypatch.setattr(SESet, "_of", classmethod(counting_of))
     p1 = prog("p :- q. q :- r. r ; s. :- p, s. p :- not s.")
     p2 = prog("p :- q. q :- r. r. s :- not p.")
-    assert (len(p1), len(p2)) == (5, 4)
-    report = equivalence_report(p1, p2, Alphabet(tuple("pqrs")))
+    alphabet = Alphabet(tuple("pqrs"))
+    report = equivalence_report(p1, p2, alphabet)
     assert not any(report.verdicts.values())  # every witness is searched for
-    variants = prog("p :- q. r :- s."), prog("p ; not q :- q. s.")  # SE-equal first rules
-    for left, right in ((p1, p2), variants):
-        calls.clear()
-        equivalence_report(left, right, Alphabet(tuple("pqrs")))
-        forms = {secan(r) for r in left.rules | right.rules} | {EPSILON}  # the tautology's full set
-        assert len(calls) <= len(forms)
+    assert (rule_sets, len(built)) == ([], 2)  # one set per program, for s
+    built.clear()
+    made.clear()
+    for notion in (smr_equivalent, sr_equivalent, su_equivalent):
+        assert not notion(p1, p2, alphabet)
+    assert (rule_sets, built, made) == ([], [], [])  # no SE-set at all
 
 
 def test_rule_functions_check_scope_and_need_no_se_set():
@@ -178,6 +226,7 @@ def test_rule_functions_check_scope_and_need_no_se_set():
     for call in (lambda: is_se_tautology(taut, L2), lambda: se_equivalent_rules(taut, EPSILON, L2),
                  lambda: equivalence_report(Program({taut}), Program(), L2),
                  lambda: sr_equivalent(Program({taut}), Program(), L2),
+                 lambda: smr_equivalent(Program({taut}), Program(), L2),
                  lambda: su_equivalent(Program(), Program({taut}), L2)):
         with pytest.raises(ScopeError, match="'z'"):
             call()
@@ -191,6 +240,11 @@ def test_rule_functions_check_scope_and_need_no_se_set():
     variant = prog("a ; not b :- b. c ; d :- not e. f :- g, not h.")  # an SE-equal first rule
     assert sr_equivalent(left, variant, wide) and not su_equivalent(left, variant, wide)
     assert su_equivalent(left, prog("a :- b. z :- z. c ; d :- not e. f :- g, not h."), wide)
+    subsumed = prog("a :- b. c ; d :- not e. f :- g, not h. f :- g, z, not h.")  # one more body atom
+    for cap in (None, 0):
+        assert not smr_equivalent(left, right, wide, cap)
+        assert smr_equivalent(left, variant, wide, cap) and smr_equivalent(left, subsumed, wide, cap)
+    assert not sr_equivalent(left, subsumed, wide)
 
 
 def test_family_witness_needs_no_se_set_order(monkeypatch):

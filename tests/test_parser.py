@@ -95,15 +95,18 @@ _INVALID_ATOM = "invalid atom {!r} (atoms match [a-z][A-Za-z0-9_]*)"
 @pytest.mark.parametrize("parse, text, line, column, message", [
     (parse_rule, "P.", 1, 1, _INVALID_ATOM.format("P")),
     (parse_rule, "_x.", 1, 1, _INVALID_ATOM.format("_x")),
-    (parse_rule, "\u00e9.", 1, 1, _INVALID_ATOM.format("")),  # a non-ASCII letter starts an empty word
+    (parse_rule, "\u00e9.", 1, 1, "unexpected character '\u00e9'"),
     (parse_rule, "p :- 1a.", 1, 6, "unexpected character '1'"),
     (parse_rule, "p & q.", 1, 3, "unexpected character '&'"),
     (parse_rule, "#foo.", 1, 1, "unknown directive '#foo'"),
     (parse_rule, "# .", 1, 1, "unknown directive '#'"),
     (parse_rule, "p :- q", 1, 7, "expected '.', found end of input"),
-    (parse_rule, "p :- q % no dot", 1, 8, "expected '.', found end of input"),  # the end is at the '%'
+    (parse_rule, "p :- q % no dot", 1, 16, "expected '.', found end of input"),  # after the comment
     (parse_program, "p.\r\nq :- r\ns.", 3, 1, "rule 2: expected '.', found 's'"),
-    (parse_program, "p.\n% c\nq :- r, % c", 3, 9, "rule 2: expected an atom, found end of input"),
+    (parse_program, "p.\n% c\nq :- r, % c", 3, 12, "rule 2: expected an atom, found end of input"),
+    (parse_program, "p.\nq :- r\ns :- \u00e9.", 3, 1, "rule 2: expected '.', found 's'"),  # text order
+    (parse_program, "p.\nq :- \u00e9.", 2, 6, "rule 2: unexpected character '\u00e9'"),
+    (parse_program, "p.\nQ.", 2, 1, "rule 2: " + _INVALID_ATOM.format("Q")),
     (parse_rule, "p. q.", 1, 4, "unexpected trailing input 'q'"),
     (parse_program, "p :-\n  not #taut.", 2, 7, "rule 1: expected an atom, found '#taut'"),
 ])

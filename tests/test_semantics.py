@@ -15,6 +15,7 @@ from sekit import (EPSILON, Alphabet, EnumerationCapError, Interpretation, Progr
                    is_se_model, is_se_tautology, is_well_defined, parse_program,
                    parse_rule, reduct, se_models, se_models_program)
 from sekit.oracle import enumerate_rules
+from sekit.semantics import _covered, _masks, _products_of
 
 L1 = Alphabet(("p",))
 L2 = Alphabet(("p", "q"))
@@ -90,6 +91,65 @@ def test_se_models_agree_with_naive_oracle_for_every_rule():
     for alphabet in (L2, L3):
         for rule in enumerate_rules(alphabet):
             assert model_names(se_models(rule, alphabet)) == naive.se_models(rule, alphabet.atoms), rule
+
+
+def _se_entails(r1, r2, alphabet):
+    """SE(r1) within SE(r2) by cube cover: each of r2's countermodel cubes lies in r1's two.
+    The tautology has no countermodel; it stands in as two empty cubes."""
+    empty = (~1, ~1, ~1)  # atom 0 takes no digit, as in both cubes of ":- p, not p."
+    cubes = [(empty, empty) if r.is_epsilon else _products_of(_masks(r, alphabet)) for r in (r1, r2)]
+    return all(_covered(c, *cubes[0]) for c in cubes[1])
+
+
+def test_cube_cover_decides_rule_entailment_over_one_and_two_atoms():
+    for alphabet in (L1, L2):  # 66,049 pairs at two atoms, with rules like "p ; not p." of no cube
+        rules = (EPSILON,) + enumerate_rules(alphabet)
+        sets = {r: se_models(r, alphabet) for r in rules}
+        for r1, r2 in product(rules, repeat=2):
+            assert _se_entails(r1, r2, alphabet) == (sets[r1] <= sets[r2]), (r1, r2)
+
+
+def test_cube_cover_matches_the_bitsets_for_every_cube_triple_over_two_atoms():
+    for alphabet in (L1, L2):
+        full = alphabet.full_mask
+        # every cube: per digit any set of atoms, as the negative ints `_products_of` gives
+        cubes = [tuple(~(full & ~m) for m in masks) for masks in product(range(full + 1), repeat=3)]
+        sets = {c: SESet.excluding(alphabet, [c]) for c in cubes}  # the complement of the cube
+        for a, b in product(cubes, repeat=2):
+            union = SESet.excluding(alphabet, [a, b])
+            for c in cubes:
+                assert _covered(c, a, b) == (union <= sets[c]), (c, a, b)
+
+
+def _sparse_rule(rng, atoms):
+    """Each atom in at most one rule part, mostly in one: seldom an SE-tautology."""
+    parts = [set(), set(), set(), set()]
+    for a in atoms:
+        k = rng.randrange(6)
+        if k < 4:
+            parts[k].add(a)
+    return Rule(*parts)
+
+
+def _weakened(rng, rule, atoms):
+    """`rule` with atoms added to its parts: both countermodel cubes shrink, so SE-models grow."""
+    if rule.is_epsilon:
+        return rule
+    parts = (rule.head_pos, rule.head_neg, rule.body_pos, rule.body_neg)
+    return Rule(*(part | {a for a in atoms if rng.random() < 0.15} for part in parts))
+
+
+def test_cube_cover_agrees_with_the_naive_entailment_over_three_to_five_atoms():
+    rng = random.Random(2001)
+    for atoms in ("pqr", "pqrs", "pqrst"):
+        alphabet, held = Alphabet(tuple(atoms)), 0
+        for _ in range(150):
+            r1 = EPSILON if rng.random() < 0.05 else _sparse_rule(rng, atoms)
+            r2 = _weakened(rng, r1, atoms) if rng.random() < 0.5 else _sparse_rule(rng, atoms)
+            entails = naive.se_entails(r1, r2, atoms)
+            assert _se_entails(r1, r2, alphabet) == entails, (r1, r2)
+            held += entails
+        assert 40 < held < 120, held  # both answers are exercised
 
 
 def test_se_models_keeps_no_results_alive():
