@@ -20,7 +20,8 @@ import sys
 from typing import Any, Iterable, Iterator
 
 from .canonical import secan
-from .core import Alphabet, EnumerationCapError, ScopeError, SESet
+from .core import (Alphabet, EnumerationCapError, ScopeError, SESet, _bits_at, _check_enumerable,
+                   _indices, _ternary)
 from .equivalence import (EquivalenceNotion, FamilyWitness, SEModelWitness,
                           TautologyWitness, equivalence_report)
 from .oracle import ClosureReport, closure_experiment, count_se_classes
@@ -81,9 +82,9 @@ def parse_se_set_document(doc: Any) -> SESet:
     if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
         raise ValueError("'alphabet' must be a list of atom names")
     alphabet = Alphabet(tuple(atoms))
-    masks: dict[tuple[Any, ...], int] = {}
+    seen: dict[tuple[Any, ...], tuple[int, int]] = {}  # each side checked once: mask and index
 
-    def pairs() -> Iterator[tuple[int, int]]:
+    def indices() -> Iterator[int]:
         if not isinstance(doc["models"], list):
             raise ValueError("'models' must be a list of [I, J] pairs")
         for entry in doc["models"]:
@@ -91,17 +92,23 @@ def parse_se_set_document(doc: Any) -> SESet:
                     or not isinstance(entry[0], list) or not isinstance(entry[1], list)):
                 raise ValueError(f"malformed model entry {entry!r}; expected [I, J]")
             try:
-                here, there = masks[tuple(entry[0])], masks[tuple(entry[1])]
+                (here, i), (there, j) = seen[tuple(entry[0])], seen[tuple(entry[1])]
             except (KeyError, TypeError):  # a side not seen before, or an unhashable atom
                 if not all(isinstance(a, str) for side in entry for a in side):
                     raise ValueError(f"malformed model entry {entry!r}; "
                                      "atom names must be strings") from None
-                here, there = (masks.setdefault(tuple(side), alphabet.mask_of(side)) for side in entry)
-            yield here, there
+                for side in map(tuple, entry):
+                    if side not in seen:
+                        seen[side] = (m := alphabet.mask_of(side), _ternary(m))
+                (here, i), (there, j) = seen[tuple(entry[0])], seen[tuple(entry[1])]
+            if here & ~there:  # _indices names the fault
+                next(_indices(alphabet, [(here, there)]))
+            yield i + j
 
     # the cap is checked before the models are read: one member near the top of a
     # large alphabet takes 3^n bits
-    return SESet.from_masks(alphabet, pairs(), _caps()[0])
+    _check_enumerable(alphabet, _caps()[0])
+    return SESet._of(alphabet, _bits_at(indices()))
 
 
 def _emit(args: argparse.Namespace, text: str, document: dict[str, Any]) -> None:

@@ -240,7 +240,7 @@ class SESet:
                     _check_enumerable(alphabet, None)
                 yield m.here.bits, m.there.bits
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "_bits", _bits_of(alphabet, pairs()))
+        object.__setattr__(self, "_bits", _bits_at(_indices(alphabet, pairs())))
 
     @classmethod
     def _of(cls, alphabet: Alphabet, bits: int) -> "SESet":
@@ -255,7 +255,7 @@ class SESet:
         """The pairs <I,J> given as (here, there) bit masks, the inverse of `masks`.
         The cap is checked before `pairs` is read."""
         _check_enumerable(alphabet, cap)
-        return cls._of(alphabet, _bits_of(alphabet, pairs))
+        return cls._of(alphabet, _bits_at(_indices(alphabet, pairs)))
 
     @classmethod
     def full(cls, alphabet: Alphabet, cap: int | None = None) -> "SESet":
@@ -362,9 +362,6 @@ class SESet:
     def __iter__(self) -> Iterator[SEInterpretation]:
         return iter(self.sorted_models())
 
-    def __hash__(self) -> int:
-        return hash(self._bits)  # equal sets have equal bits; __eq__ compares alphabets too
-
     def _same_alphabet(self, other: "SESet") -> None:
         if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise ValueError("SE-sets over different alphabets")
@@ -416,12 +413,10 @@ def _totals(bits: int, k: int) -> int:
     return out | _totals(up, k - 1) << 2 * step if up else out
 
 
-def _bits_of(alphabet: Alphabet, pairs: Iterable[tuple[int, int]]) -> int:
-    """The bits of the pairs <I,J> given as (here, there) masks over the alphabet. Each distinct
-    side's index is computed once: a set repeats every side many times. `bits |= 1 << k` copies
-    the whole integer per bit; a bytearray takes each bit in place and grows only to the largest
-    index."""
-    n, index, buf = len(alphabet.atoms), {}, bytearray()
+def _indices(alphabet: Alphabet, pairs: Iterable[tuple[int, int]]) -> Iterator[int]:
+    """The bit indices of the pairs <I,J> given as (here, there) masks over the alphabet, each
+    pair checked. Each distinct side's index is computed once: a set repeats every side."""
+    n, index = len(alphabet.atoms), {}
     for here, there in pairs:
         if here & ~there or there >> n:  # the checked constructors name the fault
             SEInterpretation(Interpretation(alphabet, here), Interpretation(alphabet, there))
@@ -431,7 +426,13 @@ def _bits_of(alphabet: Alphabet, pairs: Iterable[tuple[int, int]]) -> int:
         j = index.get(there)  # read after `here` is stored: a total pair has one side
         if j is None:
             j = index[there] = _ternary(there)
-        k = i + j
+        yield i + j
+
+
+def _bits_at(indices: Iterable[int]) -> int:
+    """The integer with these bits set, filled in place in a bytearray: `|= 1 << k` copies it all."""
+    buf = bytearray()
+    for k in indices:
         byte = k >> 3
         if byte >= len(buf):
             buf += bytes(byte + 1 - len(buf))
@@ -443,14 +444,15 @@ def _product(n: int, zero: int, one: int, two: int) -> int:
     """Bits of the pairs in the cube (zero, one, two) over atoms 0..n-1 (see
     `SESet.excluding`). The set over atoms 0..k-1 fills the indices below 3^k; atom k keeps
     one shifted copy of it for each digit its masks allow."""
-    if ~(zero | one | two) & ((1 << n) - 1):  # an atom that can take no digit: no pair
-        return 0
-    bits = 1
+    bits = 1  # an atom that can take no digit empties it for good
     for k in range(n):
-        step = 3 ** k
-        bits = ((bits if zero >> k & 1 else 0) | (bits << step if one >> k & 1 else 0)
-                | (bits << 2 * step if two >> k & 1 else 0))
+        bits = _product_step(bits, 3 ** k, zero >> k & 1, one >> k & 1, two >> k & 1)
     return bits
+
+
+def _product_step(bits: int, step: int, zero: int, one: int, two: int) -> int:
+    """The cube `bits` over atoms 0..k-1, where `step` is 3^k, with atom k allowed the flagged digits."""
+    return (bits if zero else 0) | (bits << step if one else 0) | (bits << 2 * step if two else 0)
 
 
 def _check_enumerable(alphabet: Alphabet, cap: int | None) -> int:

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .core import EPSILON, Alphabet, Interpretation, Program, Rule, SEInterpretation, rule_key
-from .semantics import _canonical, _covered, _masks, _products_of, se_models_program
+from .canonical import secan
+from .core import EPSILON, Alphabet, Interpretation, Program, Rule, SEInterpretation, SESet, rule_key
+from .semantics import _covered, _masks, _products_of, se_models_program
 
 
 class EquivalenceNotion(Enum):
@@ -29,24 +30,26 @@ class EquivalenceNotion(Enum):
 
 def se_equivalent_rules(r1: Rule, r2: Rule, alphabet: Alphabet, cap: int | None = None) -> bool:
     """Single-rule SE-equivalence, decided by equal canonical forms; `cap` is unused."""
-    return _canonical(r1, alphabet) == _canonical(r2, alphabet)
+    _masks(r1, alphabet), _masks(r2, alphabet)  # both rules' scope
+    return secan(r1) == secan(r2)
 
 
 def _syntax(p1: Program, p2: Program, alphabet: Alphabet) -> tuple:
-    """Each rule's canonical form (the name of its SE-class), every rule's scope checked; per
-    program the canonical forms of the rule family (tautology adjoined); and the rules of the
-    symmetric difference that are no SE-tautology. sr and su read these alone."""
-    canon = {rule: _canonical(rule, alphabet) for rule in {EPSILON} | p1.rules | p2.rules}
+    """Each rule's canonical form (the name of its SE-class), every rule's scope checked; per form
+    the countermodel cubes of one of its rules (none for the tautology); per program the forms of
+    the rule family (tautology adjoined); and the rules of the symmetric difference that are no
+    SE-tautology. sr and su read these alone."""
+    masks = {rule: _masks(rule, alphabet) for rule in {EPSILON} | p1.rules | p2.rules}  # once each
+    canon = {rule: secan(rule) for rule in masks}
+    cubes = {canon[r]: () if canon[r].is_epsilon else _products_of(m) for r, m in masks.items()}
     families = [frozenset(canon[r] for r in p.rules | {EPSILON}) for p in (p1, p2)]
-    return canon, families, [r for r in p1.rules ^ p2.rules if canon[r] != EPSILON]
+    return canon, cubes, families, [r for r in p1.rules ^ p2.rules if canon[r] != EPSILON]
 
 
-def _minimal(families: list[frozenset[Rule]], alphabet: Alphabet) -> list[frozenset[Rule]]:
+def _minimal(families: list[frozenset[Rule]], cubes: Mapping[Rule, tuple]) -> list[frozenset[Rule]]:
     """Per family, the members whose SE-set holds no other member's: SE(d) lies in SE(c) when
     d's two cubes cover each of c's. The tautology has no cubes, so it is minimal only alone.
     Distinct forms have distinct SE-sets, and each form's cubes are one tuple, told by `is`."""
-    cubes = {c: () if c.is_epsilon else _products_of(_masks(c, alphabet))
-             for c in families[0] | families[1]}  # once for both families
     minimal = []
     for family in families:
         own = {c: cubes[c] for c in family}
@@ -63,20 +66,20 @@ def strongly_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int |
 
 def sr_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
     """Equal rule families, by canonical forms; `cap` is unused."""
-    families = _syntax(p1, p2, alphabet)[1]
+    families = _syntax(p1, p2, alphabet)[2]
     return families[0] == families[1]
 
 
 def smr_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
     """Equal minimal members of the rule families, by cube cover; `cap` is unused."""
-    families = _syntax(p1, p2, alphabet)[1]
-    minimal = _minimal(families, alphabet)
+    _, cubes, families, _ = _syntax(p1, p2, alphabet)
+    minimal = _minimal(families, cubes)
     return minimal[0] == minimal[1]
 
 
 def su_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
     """Only SE-tautologies in the symmetric difference, by canonical forms; `cap` is unused."""
-    return not _syntax(p1, p2, alphabet)[2]
+    return not _syntax(p1, p2, alphabet)[3]
 
 
 @dataclass(frozen=True)
@@ -127,9 +130,9 @@ def _family_witness(fam1: frozenset[Rule], fam2: frozenset[Rule], p1: Program, p
 def equivalence_report(p1: Program, p2: Program, alphabet: Alphabet,
                        cap: int | None = None) -> EquivalenceReport:
     """All four verdicts plus a distinguishing witness for every failure."""
-    canon, families, untaut = _syntax(p1, p2, alphabet)
-    m1, m2 = se_models_program(p1, alphabet, cap), se_models_program(p2, alphabet, cap)
-    minimal = _minimal(families, alphabet)
+    canon, cubes, families, untaut = _syntax(p1, p2, alphabet)
+    m1, m2 = (SESet.excluding(alphabet, (c for f in fam for c in cubes[f]), cap) for fam in families)
+    minimal = _minimal(families, cubes)
     verdicts = {EquivalenceNotion.S: m1 == m2, EquivalenceNotion.SR: families[0] == families[1],
                 EquivalenceNotion.SMR: minimal[0] == minimal[1], EquivalenceNotion.SU: not untaut}
     witnesses: dict[EquivalenceNotion, object] = {}

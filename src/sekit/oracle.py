@@ -1,11 +1,11 @@
 """Exhaustive small-alphabet sweeps: rule enumeration, class counting, closure scans.
 
-Everything here is brute force on purpose; the point is to cross-check the
-structural machinery against raw enumeration at desk scale. Rule enumeration
-is capped separately (default 3 atoms, 16^n rules) from interpretation
-enumeration. `enumerate_rules` walks all 16^n rules. The sweeps are exhaustive
-over the 7^n letter words instead, which cover every rule's SE-set (see
-`_classes`), and build a rule only where one is returned or named.
+Everything here is brute force on purpose; the point is to cross-check the structural machinery
+against raw enumeration at desk scale. Rule enumeration is capped separately (default 3 atoms, 16^n
+rules) from interpretation enumeration. `enumerate_rules` walks all 16^n rules. The sweeps are
+exhaustive over the 7^n letter words instead, which cover every rule's SE-set. They hold each set as
+its bits, and a word's two countermodel products extend its prefix's by one product step each (see
+`_classes`). A rule is built only where one is returned or named.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 
 from .canonical import secan
-from .core import Alphabet, EnumerationCapError, Rule, SESet
+from .core import Alphabet, EnumerationCapError, Rule, SESet, _product_step
 from .semantics import Masks, _products_of
 
 DEFAULT_RULE_ENUMERATION_CAP = 3
@@ -27,6 +27,8 @@ DEFAULT_RULE_ENUMERATION_CAP = 3
 # B-, B+, tautological (B+ with B-, among others), H-, H+, H+ with H-.
 _LETTERS = ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 0, 0), (1, 0, 0, 0),
             (1, 1, 0, 0))
+# Per letter, the digits (zero, one, two) that each of the two cubes allows the atom.
+_DIGITS = tuple(tuple(tuple(m & 1 for m in cube) for cube in _products_of(p)) for p in _LETTERS)
 
 
 def _rule_cap_checked(alphabet: Alphabet, cap: int | None) -> int:
@@ -48,17 +50,21 @@ def enumerate_rules(alphabet: Alphabet, cap: int | None = None) -> tuple[Rule, .
     return tuple(Rule(*(subsets[m] for m in masks)) for masks in product(range(len(subsets)), repeat=4))
 
 
-def _classes(alphabet: Alphabet, cap: int | None, rule_cap: int | None) -> dict[SESet, Masks]:
-    """Each representable SE-model set, mapped to the masks of the first rule in
-    enumeration order that has it. No rule is built, and one SE-set per letter word:
-    a word's masks give each atom its letter's first pattern, so they are the least
-    among the word's rules, and the sorted words meet every class first at its first rule."""
-    words = [(0, 0, 0, 0)]
-    for k in range(_rule_cap_checked(alphabet, rule_cap)):
-        words = [tuple(m | b << k for m, b in zip(masks, p)) for masks in words for p in _LETTERS]
-    classes: dict[SESet, Masks] = {}
-    for masks in sorted(words):
-        classes.setdefault(SESet.excluding(alphabet, _products_of(masks), cap), masks)
+def _classes(alphabet: Alphabet, cap: int | None, rule_cap: int | None) -> dict[int, Masks]:
+    """Each representable SE-model set's bits, mapped to the masks of the first rule in enumeration
+    order that has it. No rule and no SE-set is built: a word of k + 1 atoms takes its prefix's two
+    countermodel products one product step further. A word's masks give each atom its letter's
+    first pattern, so the sorted words meet every class first at its first rule."""
+    n, full = _rule_cap_checked(alphabet, rule_cap), SESet.full(alphabet, cap)._bits  # rule cap first
+    words = [((0, 0, 0, 0), 1, 1)]  # no atoms: empty masks, and each product the one pair
+    for k in range(n):
+        step, grown = 3 ** k, [(tuple(b << k for b in p), *d) for p, d in zip(_LETTERS, _DIGITS)]
+        words = [((hp | a, hn | b, bp | c, bn | d), _product_step(p1, step, z1, o1, t1),
+                  _product_step(p2, step, z2, o2, t2)) for (hp, hn, bp, bn), p1, p2 in words
+                 for (a, b, c, d), (z1, o1, t1), (z2, o2, t2) in grown]  # a starred call costs double
+    classes: dict[int, Masks] = {}
+    for masks, p1, p2 in sorted(words):
+        classes.setdefault(full ^ (p1 | p2), masks)
     return classes
 
 
@@ -68,14 +74,14 @@ _se_index = lru_cache(maxsize=32)(_classes)
 def brute_representable(s: SESet, cap: int | None = None,
                         rule_cap: int | None = None) -> Rule | None:
     """First enumerated rule whose SE-models are exactly S, if any."""
-    masks = _se_index(s.alphabet, cap, rule_cap).get(s)
+    masks = _se_index(s.alphabet, cap, rule_cap).get(s._bits)
     return None if masks is None else Rule(*map(s.alphabet.atoms_of, masks))
 
 
 def count_se_classes(alphabet: Alphabet, cap: int | None = None,
                      rule_cap: int | None = None) -> int:
     """Number of distinct SE-model sets over the alphabet, tautology class included."""
-    return len(_classes(alphabet, cap, rule_cap).keys() | {SESet.full(alphabet, cap)})
+    return len(_classes(alphabet, cap, rule_cap).keys() | {SESet.full(alphabet, cap)._bits})
 
 
 @dataclass(frozen=True)
@@ -104,15 +110,12 @@ def closure_experiment(alphabet: Alphabet, op: str, cap: int | None = None,
     """Scan all unordered pairs of representable sets for closure under union or intersection."""
     if op not in ("union", "intersection"):
         raise ValueError(f"unknown closure operation {op!r} (expected union or intersection)")
-    table = _se_index(alphabet, cap, rule_cap)  # every representable set over the alphabet
-    representable = sorted(table, key=SESet.sort_key)
-    unclosed = []
-    for s1, s2 in combinations_with_replacement(representable, 2):
-        merged = s1 | s2 if op == "union" else s1 & s2
-        if merged not in table:
-            unclosed.append((s1, s2))
+    table = _se_index(alphabet, cap, rule_cap)  # every representable set's bits over the alphabet
+    representable = sorted(table, key=lambda bits: SESet._of(alphabet, bits).sort_key())
+    unclosed = [(a, b) for a, b in combinations_with_replacement(representable, 2)
+                if (a | b if op == "union" else a & b) not in table]
     names = {s: secan(Rule(*map(alphabet.atoms_of, table[s])))  # only the sets shown are named
              for s in {s for pair in unclosed for s in pair}}
-    counterexamples = tuple(ClosureCounterexample(names[s1], names[s2]) for s1, s2 in unclosed)
+    counterexamples = tuple(ClosureCounterexample(names[a], names[b]) for a, b in unclosed)
     k = len(representable)  # k * (k + 1) / 2 unordered pairs, each set with itself included
     return ClosureReport(op, alphabet, k, k * (k + 1) // 2, counterexamples)

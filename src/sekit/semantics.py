@@ -107,15 +107,10 @@ def se_models_program(program: Program, alphabet: Alphabet, cap: int | None = No
     return SESet.excluding(alphabet, _rule_products(program, alphabet), cap)
 
 
-def _canonical(rule: Rule, alphabet: Alphabet) -> Rule:
-    """secan(rule), the name of its SE-class, once its atoms are known to be in scope."""
-    _masks(rule, alphabet)
-    return secan(rule)
-
-
 def is_se_tautology(rule: Rule, alphabet: Alphabet, cap: int | None = None) -> bool:
     """Every SE-interpretation is a model, decided from the canonical form; `cap` is unused."""
-    return _canonical(rule, alphabet) == EPSILON
+    _masks(rule, alphabet)  # its scope
+    return secan(rule) == EPSILON
 
 
 def is_well_defined(se_set: SESet) -> bool:

@@ -212,3 +212,9 @@ def test_criterion_15_smr_from_syntax():
         smr_s = min(smr_s, time.perf_counter() - start)
         ok = ok and not verdict
     _report(15, "smr of an 8-atom program pair over 26 atoms", ok, smr_s, 0.05)
+
+
+def test_criterion_16_census_at_six_atoms():
+    start = time.perf_counter()
+    ok = count_se_classes(Alphabet(tuple("abcdef")), cap=6, rule_cap=6) == 43290
+    _report(16, "class census at 6 atoms", ok, time.perf_counter() - start, 0.5)

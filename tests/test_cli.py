@@ -337,3 +337,23 @@ def test_se_set_documents_fail_only_with_a_value_error(doc):
     except ValueError:
         return
     assert parse_se_set_document(json.loads(json.dumps(se_set_document(s)))) == s
+
+
+def test_document_sides_are_checked_and_indexed_once(monkeypatch):
+    import sekit.cli
+
+    calls = []
+    ternary = sekit.cli._ternary
+
+    def counting(bits):
+        calls.append(bits)
+        return ternary(bits)
+
+    def refuse(*args):
+        raise AssertionError("a pair was checked again")
+
+    monkeypatch.setattr(sekit.cli, "_ternary", counting)
+    monkeypatch.setattr(sekit.cli, "_indices", refuse)  # reached only for a side not below the other
+    s = se_models(random_rule(random.Random(7), tuple("abcde")), Alphabet(tuple("abcde")))
+    assert parse_se_set_document(se_set_document(s)) == s
+    assert sorted(calls) == sorted({side for pair in s.masks() for side in pair})

@@ -259,3 +259,31 @@ def test_family_witness_needs_no_se_set_order(monkeypatch):
     report = equivalence_report(left, right, Alphabet(tuple("abcdefgh")))
     witness = FamilyWitness(parse_rule("c :- not d, not e."), "right")
     assert report.witnesses[EquivalenceNotion.SR] == report.witnesses[EquivalenceNotion.SMR] == witness
+
+
+def test_report_computes_each_rules_masks_once(monkeypatch):
+    import sekit.equivalence
+    import sekit.semantics
+
+    left = prog("a :- b. c ; d :- not e. f :- g, not h. b :- b.")  # with a tautology
+    right = prog("a :- b. c :- not e, not d. a ; not b :- b.")  # with an SE-equal rule
+    alphabet = Alphabet(tuple("abcdefgh"))
+    expected = equivalence_report(left, right, alphabet)
+    calls = []
+    masks = sekit.equivalence._masks
+
+    def counting(rule, alphabet):
+        calls.append(rule)
+        return masks(rule, alphabet)
+
+    def refuse(*args):
+        raise AssertionError("a rule's masks were computed again")
+
+    monkeypatch.setattr(sekit.equivalence, "_masks", counting)
+    monkeypatch.setattr(sekit.semantics, "_masks", refuse)  # se_models_program is not read
+    assert equivalence_report(left, right, alphabet) == expected
+    assert sorted(calls, key=rule_key) == sorted({EPSILON} | left.rules | right.rules, key=rule_key)
+    outside = Program({parse_rule("z :- a.")})
+    wide = Alphabet(tuple("abcdefghijklmnopqrstu"))  # 21 atoms, over the cap
+    with pytest.raises(ScopeError, match="'z'"):  # the scope is checked before the cap
+        equivalence_report(outside, left, wide)

@@ -162,11 +162,11 @@ def test_letter_words_give_the_map_of_all_quadruples():
     for alphabet in (L1, L2, L3):
         first = {}
         for masks in product(range(1 << len(alphabet)), repeat=4):
-            first.setdefault(SESet.excluding(alphabet, _products_of(masks)), masks)
+            first.setdefault(SESet.excluding(alphabet, _products_of(masks))._bits, masks)
         assert list(sekit.oracle._classes(alphabet, None, None).items()) == list(first.items())
 
 
-def test_census_builds_one_se_set_per_letter_word(monkeypatch):
+def _count_excluding(monkeypatch):
     calls = []
     excluding = SESet.excluding.__func__
 
@@ -175,23 +175,23 @@ def test_census_builds_one_se_set_per_letter_word(monkeypatch):
         return excluding(cls, *args, **kwargs)
 
     monkeypatch.setattr(SESet, "excluding", classmethod(counting))
+    return calls
+
+
+def test_census_builds_no_se_set(monkeypatch):
+    calls = _count_excluding(monkeypatch)
     assert count_se_classes(L3) == 180
-    assert len(calls) == 7 ** 3  # not one per rule, 16 ** 3
+    assert calls == []  # not one per letter word, 7 ** 3, nor one per rule, 16 ** 3
 
 
 def test_closure_sweeps_share_one_class_table(monkeypatch):
-    calls = []
-    excluding = SESet.excluding.__func__
-
-    def counting(cls, *args, **kwargs):
-        calls.append(args)
-        return excluding(cls, *args, **kwargs)
-
-    monkeypatch.setattr(SESet, "excluding", classmethod(counting))
+    calls = _count_excluding(monkeypatch)
     sekit.oracle._se_index.cache_clear()
     union, intersection = (closure_experiment(L2, op) for op in ("union", "intersection"))
     assert (union.set_count, intersection.set_count) == (30, 30)
-    assert len(calls) == 7 ** 2  # one table for both sweeps, not one per sweep
+    assert calls == []
+    info = sekit.oracle._se_index.cache_info()
+    assert (info.misses, info.hits) == (1, 1)  # one table for both sweeps, not one per sweep
 
 
 def test_closure_sweeps_name_only_the_sets_a_counterexample_shows(monkeypatch):
@@ -231,9 +231,10 @@ def test_census_builds_no_rule(monkeypatch):
 
 def test_sweeps_check_their_caps_before_any_pair_work(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a product set was built")
+        raise AssertionError("a product step was taken")
 
-    monkeypatch.setattr(sekit.core, "_product", refuse)
+    monkeypatch.setattr(sekit.core, "_product_step", refuse)  # the step `_product` takes too
+    monkeypatch.setattr(sekit.oracle, "_product_step", refuse)
     for sweep in (count_se_classes, lambda a: closure_experiment(a, "union"),
                   lambda a: brute_representable(SESet(a))):
         with pytest.raises(EnumerationCapError, match="cap of 3"):
