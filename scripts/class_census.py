@@ -3,11 +3,13 @@
 
 Takes the SE-model set of each of the 7^n letter words per alphabet size, which
 covers every rule's SE-set, as the bits of the full set minus the word's two
-countermodel products. Each word of k + 1 atoms extends its k-atom prefix's
-products by one product step, so no SE-set object is built per word. The sets
-are deduped (the tautology class included), and the count is checked against
-6^n - 4^n + 3^n + 1 and against the number of canonical rules plus one. Only
-that last column exhausts all 16^n rules.
+countermodel products. The words come from the one list the class table also
+reads: each word is one packed mask integer plus its two products' bits, and a
+word of k + 1 atoms extends its k-atom prefix's products by one product step,
+so no SE-set object is built per word. The census counts the distinct products
+(the tautology class included) without building the class table, and the count
+is checked against 6^n - 4^n + 3^n + 1 and against the number of canonical
+rules plus one. Only that last column exhausts all 16^n rules.
 """
 from __future__ import annotations
 

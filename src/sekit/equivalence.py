@@ -18,7 +18,7 @@ from typing import Mapping
 
 from .canonical import secan
 from .core import EPSILON, Alphabet, Interpretation, Program, Rule, SEInterpretation, SESet, rule_key
-from .semantics import _covered, _masks, _products_of, se_models_program
+from .semantics import _covered, _masks, _products_of
 
 
 class EquivalenceNotion(Enum):
@@ -59,9 +59,15 @@ def _minimal(families: list[frozenset[Rule]], cubes: Mapping[Rule, tuple]) -> li
     return minimal
 
 
+def _se_sets(alphabet: Alphabet, cubes: Mapping[Rule, tuple], families: list, cap: int | None) -> list[SESet]:
+    """Per family of `_syntax`, its program's SE-set: the full set minus the cubes of its forms."""
+    return [SESet.excluding(alphabet, (c for f in fam for c in cubes[f]), cap) for fam in families]
+
+
 def strongly_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
-    _syntax(p1, p2, alphabet)  # every rule's scope, checked before the cap
-    return se_models_program(p1, alphabet, cap) == se_models_program(p2, alphabet, cap)
+    _, cubes, families, _ = _syntax(p1, p2, alphabet)  # every rule's scope, checked before the cap
+    m1, m2 = _se_sets(alphabet, cubes, families, cap)
+    return m1 == m2
 
 
 def sr_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
@@ -131,7 +137,7 @@ def equivalence_report(p1: Program, p2: Program, alphabet: Alphabet,
                        cap: int | None = None) -> EquivalenceReport:
     """All four verdicts plus a distinguishing witness for every failure."""
     canon, cubes, families, untaut = _syntax(p1, p2, alphabet)
-    m1, m2 = (SESet.excluding(alphabet, (c for f in fam for c in cubes[f]), cap) for fam in families)
+    m1, m2 = _se_sets(alphabet, cubes, families, cap)
     minimal = _minimal(families, cubes)
     verdicts = {EquivalenceNotion.S: m1 == m2, EquivalenceNotion.SR: families[0] == families[1],
                 EquivalenceNotion.SMR: minimal[0] == minimal[1], EquivalenceNotion.SU: not untaut}

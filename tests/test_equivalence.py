@@ -287,3 +287,33 @@ def test_report_computes_each_rules_masks_once(monkeypatch):
     wide = Alphabet(tuple("abcdefghijklmnopqrstu"))  # 21 atoms, over the cap
     with pytest.raises(ScopeError, match="'z'"):  # the scope is checked before the cap
         equivalence_report(outside, left, wide)
+
+
+def test_strong_equivalence_computes_each_rules_masks_once(monkeypatch):
+    import sekit.equivalence
+    import sekit.semantics
+
+    left = prog("a :- b. c ; d :- not e. f :- g, not h.")
+    right = prog("a :- b. c :- not e, not d.")
+    alphabet = Alphabet(tuple("abcdefgh"))
+    calls = []
+    masks = sekit.equivalence._masks
+
+    def counting(rule, alphabet):
+        calls.append(rule)
+        return masks(rule, alphabet)
+
+    def refuse(*args):
+        raise AssertionError("a rule's masks were computed again")
+
+    monkeypatch.setattr(sekit.equivalence, "_masks", counting)
+    monkeypatch.setattr(sekit.semantics, "_masks", refuse)  # se_models_program is not read
+    assert not strongly_equivalent(left, right, alphabet)
+    assert sorted(calls, key=rule_key) == sorted({EPSILON} | left.rules | right.rules, key=rule_key)
+    calls.clear()
+    assert strongly_equivalent(left, Program(left.rules | {parse_rule("b :- b.")}), alphabet)
+    assert len(calls) == len(left.rules) + 2  # the tautology and EPSILON once each
+    outside = Program({parse_rule("z :- a.")})
+    wide = Alphabet(tuple("abcdefghijklmnopqrstu"))  # 21 atoms, over the cap
+    with pytest.raises(ScopeError, match="'z'"):  # the scope is checked before the cap
+        strongly_equivalent(left, outside, wide)

@@ -241,3 +241,37 @@ def test_sweeps_check_their_caps_before_any_pair_work(monkeypatch):
             sweep(L4)
         with pytest.raises(ValueError, match="nonempty alphabet"):
             sweep(Alphabet(()))
+
+
+def test_census_counts_the_class_table_without_building_it():
+    for n, alphabet in enumerate((L1, L2, L3, L4), 1):
+        full = SESet.full(alphabet)._bits
+        table = sekit.oracle._classes(alphabet, None, n)
+        assert count_se_classes(alphabet, rule_cap=n) == len(table.keys() | {full})
+
+
+def test_packed_words_order_as_their_mask_tuples():
+    for n in (1, 2, 3):
+        f = (1 << n) - 1
+        words = sekit.oracle._words(n)
+        assert len(words) == 7 ** n
+        unpacked = [(w >> 3 * n, w >> 2 * n & f, w >> n & f, w & f) for w, _, _ in words]
+        assert sorted(range(len(words)), key=lambda k: words[k][0]) == \
+            sorted(range(len(words)), key=lambda k: unpacked[k])
+
+
+def test_two_sweeps_sort_the_class_table_once(monkeypatch):
+    calls = []
+    sort_key = SESet.sort_key
+
+    def counting(self):
+        calls.append(self)
+        return sort_key(self)
+
+    monkeypatch.setattr(SESet, "sort_key", counting)
+    fresh = Alphabet(("sorted_p", "sorted_q"))  # no table built for it yet
+    union, intersection = (closure_experiment(fresh, op) for op in ("union", "intersection"))
+    assert (union.set_count, intersection.set_count) == (30, 30)
+    assert len(calls) <= 30  # once per class for both sweeps, not once per class per sweep
+    assert closure_experiment(fresh, "intersection") == intersection
+    assert len(calls) <= 30
