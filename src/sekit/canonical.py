@@ -42,5 +42,4 @@ def secan(rule: Rule) -> Rule:
     else:
         head_neg = frozenset()
         body_pos = rule.body_pos | rule.head_neg
-    return Rule(head_pos=head_pos, head_neg=head_neg,
-                body_pos=body_pos, body_neg=rule.body_neg)
+    return Rule._of(head_pos, head_neg, body_pos, rule.body_neg)

@@ -153,6 +153,7 @@ class Rule:
     body_pos: frozenset[str] = frozenset()
     body_neg: frozenset[str] = frozenset()
     is_epsilon: bool = False
+    _hash: int = field(init=False, compare=False, repr=False)  # computed once, at construction
 
     def __post_init__(self) -> None:
         for name in ("head_pos", "head_neg", "body_pos", "body_neg"):
@@ -163,6 +164,23 @@ class Rule:
             object.__setattr__(self, name, value)
         if self.is_epsilon and self.atoms:
             raise ValueError("the canonical tautology carries no atoms")
+        object.__setattr__(self, "_hash", hash(
+            (self.head_pos, self.head_neg, self.body_pos, self.body_neg, self.is_epsilon)))
+
+    @classmethod
+    def _of(cls, head_pos: frozenset, head_neg: frozenset, body_pos: frozenset, body_neg: frozenset) -> Rule:
+        """The proper rule with these parts, frozensets of names already checked (by the parser's
+        lexer, an alphabet or an existing rule), so none is matched again."""
+        r = object.__new__(cls)
+        vars(r).update(head_pos=head_pos, head_neg=head_neg, body_pos=body_pos, body_neg=body_neg,
+                       is_epsilon=False, _hash=hash((head_pos, head_neg, body_pos, body_neg, False)))
+        return r
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:  # through the constructor, which hashes again: str hashes vary by process
+        return Rule, (self.head_pos, self.head_neg, self.body_pos, self.body_neg, self.is_epsilon)
 
     @property
     def atoms(self) -> frozenset[str]:

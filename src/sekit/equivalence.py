@@ -7,7 +7,9 @@ Four notions over a fixed alphabet, from weakest to strongest:
     sr   the families of rule SE-model sets coincide (tautology adjoined)
     su   the symmetric difference contains only SE-tautological rules
 
-Each stronger notion implies the ones below it. Only s builds SE-sets and obeys the cap; for
+Each stronger notion implies the ones below it, and s is decided on that ladder: equal families
+(sr) have equal minimal members (smr), and a program's SE-set is the intersection of its family's
+minimal members, so smr settles s. Only when smr fails does s build SE-sets and obey the cap; for
 smr, sr and su, which read canonical forms and countermodel cubes alone, `cap` is unused.
 """
 from __future__ import annotations
@@ -66,8 +68,9 @@ def _se_sets(alphabet: Alphabet, cubes: Mapping[Rule, tuple], families: list, ca
 
 def strongly_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
     _, cubes, families, _ = _syntax(p1, p2, alphabet)  # every rule's scope, checked before the cap
-    m1, m2 = _se_sets(alphabet, cubes, families, cap)
-    return m1 == m2
+    minimal = families if families[0] == families[1] else _minimal(families, cubes)
+    sets = minimal if minimal[0] == minimal[1] else _se_sets(alphabet, cubes, families, cap)  # smr settles s
+    return sets[0] == sets[1]
 
 
 def sr_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
@@ -79,7 +82,7 @@ def sr_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None 
 def smr_equivalent(p1: Program, p2: Program, alphabet: Alphabet, cap: int | None = None) -> bool:
     """Equal minimal members of the rule families, by cube cover; `cap` is unused."""
     _, cubes, families, _ = _syntax(p1, p2, alphabet)
-    minimal = _minimal(families, cubes)
+    minimal = families if families[0] == families[1] else _minimal(families, cubes)
     return minimal[0] == minimal[1]
 
 
@@ -135,12 +138,15 @@ def _family_witness(fam1: frozenset[Rule], fam2: frozenset[Rule], p1: Program, p
 
 def equivalence_report(p1: Program, p2: Program, alphabet: Alphabet,
                        cap: int | None = None) -> EquivalenceReport:
-    """All four verdicts plus a distinguishing witness for every failure."""
+    """All four verdicts plus a distinguishing witness for every failure, strongest notion first:
+    minimal members only when sr fails, SE-sets only when smr fails."""
     canon, cubes, families, untaut = _syntax(p1, p2, alphabet)
-    m1, m2 = _se_sets(alphabet, cubes, families, cap)
-    minimal = _minimal(families, cubes)
-    verdicts = {EquivalenceNotion.S: m1 == m2, EquivalenceNotion.SR: families[0] == families[1],
-                EquivalenceNotion.SMR: minimal[0] == minimal[1], EquivalenceNotion.SU: not untaut}
+    sr = families[0] == families[1]
+    minimal = families if sr else _minimal(families, cubes)  # equal families have equal minima
+    smr = minimal[0] == minimal[1]
+    m1, m2 = (None, None) if smr else _se_sets(alphabet, cubes, families, cap)
+    verdicts = {EquivalenceNotion.S: smr or m1 == m2, EquivalenceNotion.SR: sr,
+                EquivalenceNotion.SMR: smr, EquivalenceNotion.SU: not untaut}
     witnesses: dict[EquivalenceNotion, object] = {}
     if not verdicts[EquivalenceNotion.S]:
         here, there = next((m1 ^ m2).masks())  # the first in (there, here) order

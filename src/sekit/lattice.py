@@ -83,10 +83,8 @@ def intervals_to_rule(l1: Interval, l2: Interval, alphabet: Alphabet) -> Rule:
     if l1.is_empty() or l2.is_empty():
         return EPSILON
     full = alphabet.full_mask
-    return Rule(head_pos=alphabet.atoms_of(full & ~l1.top.bits),
-                head_neg=alphabet.atoms_of(l2.bot.bits),
-                body_pos=alphabet.atoms_of(l1.bot.bits),
-                body_neg=alphabet.atoms_of(full & ~l2.top.bits))
+    return Rule._of(alphabet.atoms_of(full & ~l1.top.bits), alphabet.atoms_of(l2.bot.bits),
+                    alphabet.atoms_of(l1.bot.bits), alphabet.atoms_of(full & ~l2.top.bits))
 
 
 def is_rule_representable(s: SESet, method: str = "induced",

@@ -48,7 +48,7 @@ def enumerate_rules(alphabet: Alphabet, cap: int | None = None) -> tuple[Rule, .
     canonical tautology is not included.
     """
     subsets = [alphabet.atoms_of(bits) for bits in range(1 << _rule_cap_checked(alphabet, cap))]
-    return tuple(Rule(*(subsets[m] for m in masks)) for masks in product(range(len(subsets)), repeat=4))
+    return tuple(Rule._of(*(subsets[m] for m in masks)) for masks in product(range(len(subsets)), repeat=4))
 
 
 def _words(n: int) -> list[tuple[int, int, int]]:
@@ -86,7 +86,7 @@ def brute_representable(s: SESet, cap: int | None = None,
                         rule_cap: int | None = None) -> Rule | None:
     """First enumerated rule whose SE-models are exactly S, if any."""
     masks = _se_index(s.alphabet, cap, rule_cap)[0].get(s._bits)
-    return None if masks is None else Rule(*map(s.alphabet.atoms_of, masks))
+    return None if masks is None else Rule._of(*map(s.alphabet.atoms_of, masks))
 
 
 def count_se_classes(alphabet: Alphabet, cap: int | None = None,
@@ -129,7 +129,7 @@ def closure_experiment(alphabet: Alphabet, op: str, cap: int | None = None,
     combine = operator.or_ if op == "union" else operator.and_
     unclosed = [(a, b) for a, b in combinations_with_replacement(order, 2) if combine(a, b) not in table]
     subsets = [alphabet.atoms_of(m) for m in range(1 << len(alphabet))]
-    names = {s: secan(Rule(*(subsets[m] for m in table[s])))  # only the sets shown are named
+    names = {s: secan(Rule._of(*(subsets[m] for m in table[s])))  # only the sets shown are named
              for s in {s for pair in unclosed for s in pair}}
     counterexamples = tuple(ClosureCounterexample(names[a], names[b]) for a, b in unclosed)
     k = len(order)  # k * (k + 1) / 2 unordered pairs, each set with itself included

@@ -97,7 +97,7 @@ class _Parser:
                       else f"expected {what}, found end of input", token)
         return self.advance()
 
-    def literals(self, separator: str) -> tuple[set[str], set[str]]:
+    def literals(self, separator: str) -> tuple[frozenset[str], frozenset[str]]:
         """The positive and the negated atoms of a list of literals joined by `separator`,
         which may be empty. Stacked default negation absorbs pairwise."""
         pos: set[str] = set()
@@ -112,7 +112,7 @@ class _Parser:
                 if self.lookahead.kind != separator:
                     break
                 self.advance()
-        return pos, neg
+        return frozenset(pos), frozenset(neg)
 
     def rule(self) -> Rule:
         token = self.lookahead
@@ -124,13 +124,12 @@ class _Parser:
             self.fail("expected a literal, ':-' or '#taut'"
                       if token.kind != "EOF" else "expected a rule, found end of input", token)
         head_pos, head_neg = self.literals("SEMI")
-        body_pos, body_neg = set(), set()
+        body_pos, body_neg = frozenset(), frozenset()
         if self.lookahead.kind == "ARROW":
             self.advance()
             body_pos, body_neg = self.literals("COMMA")
         self.expect("DOT", "'.'")
-        return Rule(head_pos=head_pos, head_neg=head_neg,
-                    body_pos=body_pos, body_neg=body_neg)
+        return Rule._of(head_pos, head_neg, body_pos, body_neg)  # the ATOM lexeme matches ATOM_PATTERN
 
 
 def parse_rule(source: str | SourceProgram) -> Rule:

@@ -56,5 +56,4 @@ def induce_rule(s: SESet, cap: int | None = None) -> Rule:
     if s.is_full():
         return EPSILON
     c = classify_atoms(s, cap)
-    return Rule(head_pos=c.pos_head, head_neg=c.neg_head,
-                body_pos=c.pos_body, body_neg=c.neg_body)
+    return Rule._of(c.pos_head, c.neg_head, c.pos_body, c.neg_body)

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 from .canonical import secan
 from .core import (EPSILON, Alphabet, Interpretation, Program, Rule, SEInterpretation,
-                   SESet, all_interpretations)
+                   SESet, _product, all_interpretations)
 
 Masks = tuple[int, int, int, int]
 Cube = tuple[int, int, int]  # the masks of the atoms that may take digit 0, 1 and 2
@@ -60,7 +60,7 @@ def reduct(rule: Rule, there: Interpretation) -> Rule:
         return EPSILON
     if any(a not in there for a in rule.head_neg) or any(a in there for a in rule.body_neg):
         return EPSILON
-    return Rule(head_pos=rule.head_pos, body_pos=rule.body_pos)
+    return Rule._of(rule.head_pos, frozenset(), rule.body_pos, frozenset())
 
 
 def is_se_model(rule: Rule, se: SEInterpretation) -> bool:
@@ -121,6 +121,7 @@ def is_well_defined(se_set: SESet) -> bool:
 def answer_sets(program: Program, alphabet: Alphabet, cap: int | None = None) -> frozenset[Interpretation]:
     """Total SE-models <J,J> of the program with no proper <I,J> below them."""
     s = se_models_program(program, alphabet, cap)
-    totals = s.totals()
+    # S is well-defined, so its totals are its members in the cube of pairs <J,J> (digits 0 and 2)
+    totals = s & SESet._of(alphabet, _product(len(alphabet), -1, 0, -1))
     answers = totals - (s - totals).totals()
     return frozenset(Interpretation(alphabet, there) for _, there in answers.masks())

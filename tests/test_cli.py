@@ -259,6 +259,21 @@ def test_equiv_empty_programs_need_alphabet(capsys, tmp_path):
     assert code == 0
 
 
+def test_equiv_answers_above_the_cap_when_smr_settles_s(capsys, tmp_path):
+    left, right, other = tmp_path / "left.lp", tmp_path / "right.lp", tmp_path / "other.lp"
+    left.write_text("a :- b.\n")
+    right.write_text("a :- b. a :- b, c.\n")  # smr holds, so s does
+    other.write_text("b :- a.\n")
+    wide = ",".join("abcdefghijklmnopqrstu")  # 21 atoms, over the default cap of 20
+    code, out, err = run(capsys, "equiv", str(left), str(right), "--notion", "smr", "--alphabet", wide)
+    assert (code, out, err) == (0, "smr: equivalent\n", "")
+    code, out, err = run(capsys, "equiv", str(left), str(right), "--alphabet", wide)
+    assert code == 1 and out.startswith("s: equivalent\nsr: not equivalent\n")
+    # smr fails, so the report still builds the SE-sets for s, though only smr is asked for
+    code, out, err = run(capsys, "equiv", str(left), str(other), "--notion", "smr", "--alphabet", wide)
+    assert code == 2 and out == "" and "enumeration cap of 20" in err
+
+
 def test_equiv_rejects_double_stdin(capsys):
     assert run(capsys, "equiv", "-", "-")[0] == 2
 

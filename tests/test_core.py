@@ -111,6 +111,50 @@ def test_rule_rejects_bad_atoms():
         Rule(head_pos={"Q"})
 
 
+def test_internal_rule_builders_give_frozenset_parts_and_the_constructors_hash():
+    from sekit import (brute_representable, closure_experiment, enumerate_rules, induce_rule,
+                       intervals_to_rule, parse_program, parse_rule, reduct,
+                       rule_to_countermodel_intervals, se_models, secan)
+    three = Alphabet(("p", "q", "r"))
+    rule = parse_rule("p ; not q :- r, not s.")
+    s = se_models(parse_rule("p ; not q :- r."), three)
+    built = [rule, *parse_program("a :- b. :- c, not d. e ; not f.")[0],
+             secan(parse_rule("p ; q ; not r :- q2, not q.")), secan(parse_rule("not p :- q.")),
+             reduct(rule, Interpretation.of(three, ("q",))), induce_rule(s), brute_representable(s),
+             intervals_to_rule(*rule_to_countermodel_intervals(parse_rule("p :- q."), three), three)]
+    built += [r for n in (1, 2) for r in enumerate_rules(Alphabet(tuple("pq"[:n])))]
+    closure = closure_experiment(Alphabet(("p", "q")), "intersection")
+    built += [r for ce in closure.counterexamples for r in (ce.left, ce.right)]
+    assert len(built) > 16 + 256 + 10
+    for r in built:
+        parts = (r.head_pos, r.head_neg, r.body_pos, r.body_neg)
+        assert all(type(part) is frozenset for part in parts) and not r.is_epsilon
+        assert r == Rule(*parts) and hash(r) == hash(Rule(*parts))
+
+
+def test_public_rule_constructor_checks_every_atom():
+    for parts in ({"head_pos": {"p", "Q"}}, {"body_neg": ["ok", "not ok"]}, {"head_neg": ("1p",)}):
+        with pytest.raises(ValueError, match="invalid atom name"):
+            Rule(**parts)
+
+
+def test_a_pickled_rule_hashes_under_the_loading_process_seed():
+    import os
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(sekit.core.__file__))
+    dump = "import pickle, sys; from sekit import parse_rule; " \
+           "sys.stdout.buffer.write(pickle.dumps(parse_rule('a ; not b :- c, not d.')))"
+    load = "import pickle, sys; from sekit import parse_program; rule = pickle.loads(sys.stdin.buffer.read()); " \
+           "print(rule in set(parse_program('e. a ; not b :- c, not d. f :- e.')[0]))"
+    out = b""
+    for seed, code in (("1", dump), ("2", load)):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], input=out, capture_output=True,
+                             env=env, check=True, timeout=60).stdout
+    assert out.decode().strip() == "True"
+
+
 def test_epsilon_carries_no_atoms():
     assert EPSILON.is_epsilon and EPSILON.atoms == frozenset()
     with pytest.raises(ValueError):

@@ -2,15 +2,17 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given
 
 import naive
 import strategies
-from sekit import (EPSILON, Alphabet, EquivalenceNotion, FamilyWitness, Program, Rule, ScopeError,
-                   SEModelWitness, SESet, TautologyWitness, equivalence_report, is_se_tautology,
-                   parse_program, parse_rule, rule_key, se_equivalent_rules, se_models,
+from sekit import (EPSILON, Alphabet, EnumerationCapError, EquivalenceNotion, FamilyWitness,
+                   Interpretation, Program, Rule, ScopeError, SEInterpretation, SEModelWitness,
+                   SESet, TautologyWitness, enumerate_rules, equivalence_report, is_se_tautology,
+                   parse_program, parse_rule, rule_key, se_equivalent_rules, se_models, secan,
                    se_models_program, smr_equivalent, sr_equivalent, strongly_equivalent,
                    su_equivalent)
 
@@ -220,6 +222,23 @@ def test_report_builds_se_sets_for_s_alone(monkeypatch):
         assert not notion(p1, p2, alphabet)
     assert (rule_sets, built, made) == ([], [], [])  # no SE-set at all
 
+    minimal_calls = []
+    real_minimal = sekit.equivalence._minimal
+    monkeypatch.setattr(sekit.equivalence, "_minimal",
+                        lambda *args: minimal_calls.append(args) or real_minimal(*args))
+    left = prog("a :- b. c ; d :- not e. f :- g, not h.")
+    subsumed = prog("a :- b. c ; d :- not e. f :- g, not h. f :- g, a, not h.")  # smr, not sr
+    variant = prog("a ; not b :- b. c ; d :- not e. f :- g, not h.")  # sr: an SE-equal first rule
+    alphabet = Alphabet(tuple("abcdefgh"))
+    for right, sr in ((subsumed, False), (variant, True)):
+        verdicts = equivalence_report(left, right, alphabet).verdicts
+        assert verdicts[EquivalenceNotion.SR] == sr and verdicts[EquivalenceNotion.SMR]
+        assert verdicts[EquivalenceNotion.S]
+        assert strongly_equivalent(left, right, alphabet) and smr_equivalent(left, right, alphabet)
+        assert (rule_sets, built, made) == ([], [], [])  # smr settles s
+        assert len(minimal_calls) == (0 if sr else 3)  # equal families have equal minima
+        minimal_calls.clear()
+
 
 def test_rule_functions_check_scope_and_need_no_se_set():
     taut = parse_rule("z :- z.")  # secan drops z
@@ -245,6 +264,12 @@ def test_rule_functions_check_scope_and_need_no_se_set():
         assert not smr_equivalent(left, right, wide, cap)
         assert smr_equivalent(left, variant, wide, cap) and smr_equivalent(left, subsumed, wide, cap)
     assert not sr_equivalent(left, subsumed, wide)
+    for other in (variant, subsumed):  # smr settles s, above the cap too
+        assert strongly_equivalent(left, other, wide)
+        assert equivalence_report(left, other, wide).verdicts[EquivalenceNotion.S]
+    for call in (strongly_equivalent, equivalence_report):  # smr fails: s needs the SE-sets
+        with pytest.raises(EnumerationCapError):
+            call(left, right, wide)
 
 
 def test_family_witness_needs_no_se_set_order(monkeypatch):
@@ -317,3 +342,59 @@ def test_strong_equivalence_computes_each_rules_masks_once(monkeypatch):
     wide = Alphabet(tuple("abcdefghijklmnopqrstu"))  # 21 atoms, over the cap
     with pytest.raises(ScopeError, match="'z'"):  # the scope is checked before the cap
         strongly_equivalent(left, outside, wide)
+
+
+def _naive_report(p1, p2, alphabet):
+    """The four verdicts and their witnesses, from naive SE-sets over every pair of the alphabet."""
+    atoms = alphabet.atoms
+    se = {r: frozenset(naive.se_models(r, atoms)) for r in p1.rules | p2.rules | {EPSILON}}
+    models = [frozenset.intersection(frozenset(naive.se_pairs(atoms)), *(se[r] for r in p.rules))
+              for p in (p1, p2)]
+    families = [{se[r] for r in p.rules | {EPSILON}} for p in (p1, p2)]
+    minimal = [{s for s in f if not any(t < s for t in f)} for f in families]
+    untaut = [r for r in p1.rules ^ p2.rules if se[r] != se[EPSILON]]
+    verdicts = {EquivalenceNotion.S: models[0] == models[1],
+                EquivalenceNotion.SR: families[0] == families[1],
+                EquivalenceNotion.SMR: minimal[0] == minimal[1], EquivalenceNotion.SU: not untaut}
+    side = lambda p: "left" if p is p1 else "right"
+
+    def family_witness(fams):
+        unmatched = [(r, side(p)) for p, mine, other in ((p1, *fams), (p2, *fams[::-1]))
+                     for r in p.rules | {EPSILON} if se[r] in mine and se[r] not in other]
+        return FamilyWitness(*min(unmatched, key=lambda pair: rule_key(pair[0])))
+
+    witnesses = {}
+    if not verdicts[EquivalenceNotion.S]:
+        mask = lambda side: alphabet.mask_of(side)
+        here, there = min(models[0] ^ models[1], key=lambda pair: (mask(pair[1]), mask(pair[0])))
+        se_pair = SEInterpretation(Interpretation.of(alphabet, here), Interpretation.of(alphabet, there))
+        witnesses[EquivalenceNotion.S] = SEModelWitness(se_pair, "left" if (here, there) in models[0]
+                                                        else "right")
+    if not verdicts[EquivalenceNotion.SR]:
+        witnesses[EquivalenceNotion.SR] = family_witness(families)
+    if not verdicts[EquivalenceNotion.SMR]:
+        witnesses[EquivalenceNotion.SMR] = family_witness(minimal)
+    if untaut:
+        bad = min(untaut, key=rule_key)
+        witnesses[EquivalenceNotion.SU] = TautologyWitness(bad, side(p1 if bad in p1.rules else p2))
+    return verdicts, witnesses
+
+
+def test_ladder_verdicts_and_witnesses_match_naive_semantics_up_to_three_atoms():
+    from sweep_fixture import equiv_pairs
+    one = Alphabet(("a",))
+    rules = (EPSILON, *enumerate_rules(one))
+    forms = sorted({secan(r) for r in rules}, key=rule_key)  # one rule per SE-class
+    programs = {Program(frozenset(c)) for k in range(3) for c in combinations(forms, k)}
+    programs |= {Program({r}) for r in rules}
+    pairs = [(one, p1, p2) for p1 in programs for p2 in programs]  # every rung, s alone included
+    pairs += [(Alphabet(tuple(atoms)), p1, p2) for atoms, p1, p2 in equiv_pairs() if len(atoms) <= 3]
+    for alphabet, p1, p2 in pairs:
+        verdicts, witnesses = _naive_report(p1, p2, alphabet)
+        report = equivalence_report(p1, p2, alphabet)
+        assert (report.verdicts, report.witnesses) == (verdicts, witnesses), (p1, p2)
+        assert verdicts == {EquivalenceNotion.S: strongly_equivalent(p1, p2, alphabet),
+                            EquivalenceNotion.SR: sr_equivalent(p1, p2, alphabet),
+                            EquivalenceNotion.SMR: smr_equivalent(p1, p2, alphabet),
+                            EquivalenceNotion.SU: su_equivalent(p1, p2, alphabet)}
+    assert len(pairs) > 1000
