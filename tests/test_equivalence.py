@@ -365,11 +365,11 @@ def _naive_report(p1, p2, alphabet):
 
     witnesses = {}
     if not verdicts[EquivalenceNotion.S]:
-        mask = lambda side: alphabet.mask_of(side)
-        here, there = min(models[0] ^ models[1], key=lambda pair: (mask(pair[1]), mask(pair[0])))
+        here, there = min(models[0] ^ models[1],  # the first pair in (there, here) order
+                          key=lambda pair: (alphabet.mask_of(pair[1]), alphabet.mask_of(pair[0])))
         se_pair = SEInterpretation(Interpretation.of(alphabet, here), Interpretation.of(alphabet, there))
-        witnesses[EquivalenceNotion.S] = SEModelWitness(se_pair, "left" if (here, there) in models[0]
-                                                        else "right")
+        one_side = "left" if (here, there) in models[0] else "right"
+        witnesses[EquivalenceNotion.S] = SEModelWitness(se_pair, one_side)
     if not verdicts[EquivalenceNotion.SR]:
         witnesses[EquivalenceNotion.SR] = family_witness(families)
     if not verdicts[EquivalenceNotion.SMR]:
