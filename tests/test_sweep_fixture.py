@@ -1,9 +1,10 @@
-"""The committed fixtures match the `sekit explore` and `sekit equiv` outputs line by line."""
+"""The committed fixtures match the outputs of every `sekit` command line by line."""
 from __future__ import annotations
 
 import os
 
-from sweep_fixture import CASES, EQUIV_FIXTURE, EQUIV_PAIRS, FIXTURE, NOTIONS, equiv_lines, lines
+from sweep_fixture import (CASES, CLI_FIXTURE, EQUIV_FIXTURE, EQUIV_PAIRS, FIXTURE, NOTIONS,
+                           cli_lines, cli_runs, equiv_lines, lines)
 
 
 def _assert_unmoved(path: str, fresh: list[str]) -> None:
@@ -43,3 +44,27 @@ def test_equiv_fixture_is_small_covers_every_option_and_prints_no_set_repr():
         assert any(option in run for run in runs)
     codes = {line for line in text.splitlines() if line.startswith("exit ")}
     assert codes == {"exit 0", "exit 1", "exit 2"}
+
+
+def test_cli_outputs_match_the_committed_fixture():
+    _assert_unmoved(CLI_FIXTURE, cli_lines())
+
+
+def test_cli_fixture_is_small_covers_every_command_and_prints_no_set_repr():
+    assert os.path.getsize(CLI_FIXTURE) < 200_000
+    with open(CLI_FIXTURE, encoding="utf-8") as f:
+        text = f.read()
+    assert "frozenset" not in text
+    runs, codes = [], {}
+    for line in text.splitlines():
+        if line.startswith("$ "):
+            runs.append(line)
+        elif line.startswith("exit "):
+            codes.setdefault(runs[-1].split(" sekit ")[1].split()[0], set()).add(line)
+    assert len(runs) == len(cli_runs())
+    assert codes == {"models": {"exit 0", "exit 2"}, "canon": {"exit 0", "exit 2"},
+                     "induce": {"exit 0", "exit 1", "exit 2"}}
+    for option in ("--program", "--alphabet", "SEKIT_ENUM_CAP=2 ", "SEKIT_ENUM_CAP=x ",
+                   "--format json"):
+        assert any(option in run for run in runs)
+    assert "\\r\\n" in text and "rule 3: " in text  # CRLF files; a later rule's parse error
