@@ -20,27 +20,22 @@ import sys
 from typing import Any, Iterable, Iterator
 
 from .canonical import secan
-from .core import (Alphabet, EnumerationCapError, ScopeError, SESet, _bits_at, _check_enumerable,
-                   _indices, _ternary)
-from .equivalence import (EquivalenceNotion, FamilyWitness, SEModelWitness,
-                          TautologyWitness, equivalence_report)
+from .core import Alphabet, ScopeError, SESet, _bits_at, _check_enumerable, _indices, _ternary
+from .equivalence import EquivalenceNotion, FamilyWitness, SEModelWitness, equivalence_report
 from .oracle import ClosureReport, closure_experiment, count_se_classes
-from .parser import ParseError, SourceProgram, parse_program, parse_rule, print_rule
+from .parser import SourceProgram, parse_program, parse_rule, print_rule
 from .reconstruct import induce_rule
 from .semantics import se_models, se_models_program
 
 ATOM_POOL = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _caps() -> tuple[int | None, int | None]:
+def _cap() -> int | None:
     raw = os.environ.get("SEKIT_ENUM_CAP")
-    if raw is None:
-        return None, None
     try:
-        value = int(raw)
+        return None if raw is None else int(raw)
     except ValueError:
         raise ValueError(f"SEKIT_ENUM_CAP must be an integer, got {raw!r}") from None
-    return value, value
 
 
 def _read_input(path: str) -> tuple[str, str]:
@@ -107,19 +102,19 @@ def parse_se_set_document(doc: Any) -> SESet:
 
     # the cap is checked before the models are read: one member near the top of a
     # large alphabet takes 3^n bits
-    _check_enumerable(alphabet, _caps()[0])
+    _check_enumerable(alphabet, _cap())
     return SESet._of(alphabet, _bits_at(indices()))
 
 
 def _emit(args: argparse.Namespace, text: str, document: dict[str, Any]) -> None:
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         print(json.dumps(document, indent=2))
     else:
         print(text)
 
 
 def cmd_models(args: argparse.Namespace) -> int:
-    cap, _ = _caps()
+    cap = _cap()
     if args.program is not None:
         text, origin = _read_input(args.program)
         program, inferred = parse_program(SourceProgram(text, origin))
@@ -142,7 +137,7 @@ def cmd_canon(args: argparse.Namespace) -> int:
 
 
 def cmd_induce(args: argparse.Namespace) -> int:
-    cap, _ = _caps()
+    cap = _cap()
     text, origin = _read_input(args.path)
     try:
         doc = json.loads(text)
@@ -172,8 +167,6 @@ def _witness_payload(notion: EquivalenceNotion, witness: object) -> tuple[str, d
         text = _WITNESS_TEXT[notion].format(_pair_text(here, there), witness.side)
         doc = {"kind": "se-model", "side": witness.side, "here": here, "there": there}
         return text, doc
-    if not isinstance(witness, (FamilyWitness, TautologyWitness)):
-        raise TypeError(f"unknown witness type {type(witness).__name__}")
     rule_text = print_rule(witness.rule)
     text = _WITNESS_TEXT[notion].format(rule_text, witness.side)
     kind = "rule-se-set" if isinstance(witness, FamilyWitness) else "non-tautological-rule"
@@ -181,7 +174,7 @@ def _witness_payload(notion: EquivalenceNotion, witness: object) -> tuple[str, d
 
 
 def cmd_equiv(args: argparse.Namespace) -> int:
-    cap, _ = _caps()
+    cap = _cap()
     if args.left == "-" and args.right == "-":
         raise ValueError("only one of the two programs can come from stdin")
     text1, origin1 = _read_input(args.left)
@@ -222,17 +215,17 @@ def _closure_text(report: ClosureReport) -> str:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
-    cap, rule_cap = _caps()
+    cap = _cap()
     if args.size < 1:
         raise ValueError("size must be at least 1")
     if args.size > len(ATOM_POOL):
         raise ValueError(f"size must be at most {len(ATOM_POOL)}")
     alphabet = Alphabet(tuple(ATOM_POOL[:args.size]))
     if args.what == "classes":
-        count = count_se_classes(alphabet, cap, rule_cap)
+        count = count_se_classes(alphabet, cap, cap)
         _emit(args, str(count), {"atoms": args.size, "classes": count})
         return 0
-    report = closure_experiment(alphabet, args.op, cap, rule_cap)
+    report = closure_experiment(alphabet, args.op, cap, cap)
     document = {"op": report.op, "atoms": args.size, "sets": report.set_count,
                 "pairs": report.pair_count, "closed": report.closed,
                 "counterexamples": [[print_rule(ce.left), print_rule(ce.right)]
@@ -297,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ScopeError, EnumerationCapError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError, ScopeError, EnumerationCapError among them
         print(f"sekit: error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,10 +2,12 @@
 
 Interpretations are bit vectors over a sorted alphabet, and an SE-set is one
 integer with a bit per SE-pair, so subset tests, model checks and set
-algebra are plain integer arithmetic. This module alone knows how pairs map
-to bits. All enumeration helpers return deterministically ordered tuples:
-interpretations in binary counting order, SE-interpretations sorted by
-(there, here).
+algebra are plain integer arithmetic. This module defines how pairs map to
+bits: <I,J> is bit `_ternary(I) + _ternary(J)`. Two loops repeat the map for
+speed: `cli`'s document reader adds the sides' `_ternary` values, and the
+class census in `oracle` steps products by 3 ** k. All enumeration helpers
+return deterministically ordered tuples: interpretations in binary counting
+order, SE-interpretations sorted by (there, here).
 """
 from __future__ import annotations
 

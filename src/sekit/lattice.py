@@ -17,7 +17,7 @@ from .core import (EPSILON, Alphabet, Interpretation, Rule, SEInterpretation, SE
                    all_interpretations)
 from .oracle import brute_representable
 from .reconstruct import induce_rule
-from .semantics import _masks, se_models
+from .semantics import _masks, _products_of, se_models
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,10 @@ def rule_to_countermodel_intervals(rule: Rule, alphabet: Alphabet) -> tuple[Inte
 
 
 def interval_countermodels(l1: Interval, l2: Interval, cap: int | None = None) -> frozenset[SEInterpretation]:
-    """SE-interpretations excluded by the interval pair; an empty interval gives empty cubes."""
+    """SE-pairs excluded by the interval pair, read as rule masks; an empty interval gives empty cubes."""
     if l1.alphabet != l2.alphabet:
         raise ValueError("intervals over different alphabets")
-    b1, t1, b2, t2 = l1.bot.bits, l1.top.bits, l2.bot.bits, l2.top.bits
-    cubes = (~(b1 | b2), ~b1 & t2, t1 & t2), (~(b1 | b2), t1 & t2, t1 & t2)
+    cubes = _products_of((~l1.top.bits, l2.bot.bits, l1.bot.bits, ~l2.top.bits))
     return frozenset(SESet.excluding(l1.alphabet, cubes, cap).complement(cap))
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .core import EPSILON, Alphabet, Program, Rule
 
@@ -43,13 +42,8 @@ class ParseError(ValueError):
         super().__init__(where + message)
 
 
-class _Token(NamedTuple):
-    kind: str  # ATOM NOT SEMI COMMA ARROW DOT TAUT EOF, or a fault in _FAULTS
-    value: str
-    offset: int  # into the text; `_error` turns it into a line and a column
-
-
-# One lexeme per match, after blanks and comments. The group that matched names the token.
+# One lexeme per match, after blanks and comments. The group that matched names the token's
+# kind (ATOM NOT SEMI COMMA ARROW DOT TAUT EOF, or a fault in _FAULTS) and holds its lexeme.
 # re.ASCII makes \w the identifier characters [A-Za-z0-9_].
 _LEXEME = re.compile(r"(?:[ \t\r\n]+|%[^\n]*\n?)*(?:"
                      r"(?P<NOT>not\b)|(?P<ATOM>[a-z]\w*)|(?P<WORD>[A-Z_]\w*)"
@@ -62,39 +56,35 @@ _FAULTS = {"WORD": "invalid atom {!r} (atoms match [a-z][A-Za-z0-9_]*)",
            "DIRECTIVE": "unknown directive {!r}", "OTHER": "unexpected character {!r}"}
 
 
-def _error(message: str, text: str, offset: int, origin: str,
-           rule_index: int | None = None) -> ParseError:
-    """The error at `offset` in `text`: lines and columns are counted only here."""
-    column = offset - text.rfind("\n", 0, offset)
-    return ParseError(message, text.count("\n", 0, offset) + 1, column, origin, rule_index)
-
-
 class _Parser:
     def __init__(self, source: str | SourceProgram):
         source = source if isinstance(source, SourceProgram) else SourceProgram(source)
         self.text, self.origin = source.text, source.origin
-        self.tokens = (_Token(m.lastgroup, m[m.lastgroup], m.start(m.lastgroup))
-                       for m in _LEXEME.finditer(self.text))  # read lazily, in text order
+        self.tokens = _LEXEME.finditer(self.text)  # the tokens are the matches, read lazily
         self.lookahead = next(self.tokens)  # the one token read ahead
         self.rule_index: int | None = None
 
-    def advance(self) -> _Token:
+    def advance(self) -> re.Match[str]:
         """The lookahead, once the caller has matched it; a parser never reads past the end."""
         token, self.lookahead = self.lookahead, next(self.tokens)
         return token
 
-    def fail(self, message: str, token: _Token) -> ParseError:
+    def fail(self, message: str, token: re.Match[str]) -> ParseError:
         """Raise `message` at `token`, or the token's fault when it is one. No rule of the grammar
-        takes a fault, so the parser fails at the first one it reaches, and only there."""
-        if token.kind in _FAULTS:
-            message = _FAULTS[token.kind].format(token.value)
-        raise _error(message, self.text, token.offset, self.origin, self.rule_index)
+        takes a fault, so the parser fails at the first one it reaches, and only there. Lines and
+        columns are counted only here."""
+        kind, text = token.lastgroup, self.text
+        if kind in _FAULTS:
+            message = _FAULTS[kind].format(token[kind])
+        offset = token.start(kind)
+        line, column = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+        raise ParseError(message, line, column, self.origin, self.rule_index)
 
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, kind: str, what: str) -> re.Match[str]:
         token = self.lookahead
-        if token.kind != kind:
-            self.fail(f"expected {what}, found {token.value!r}" if token.kind != "EOF"
-                      else f"expected {what}, found end of input", token)
+        if token.lastgroup != kind:
+            self.fail(f"expected {what}, found {token[token.lastgroup]!r}"
+                      if token.lastgroup != "EOF" else f"expected {what}, found end of input", token)
         return self.advance()
 
     def literals(self, separator: str) -> tuple[frozenset[str], frozenset[str]]:
@@ -102,30 +92,30 @@ class _Parser:
         which may be empty. Stacked default negation absorbs pairwise."""
         pos: set[str] = set()
         neg: set[str] = set()
-        if self.lookahead.kind in ("ATOM", "NOT"):
+        if self.lookahead.lastgroup in ("ATOM", "NOT"):
             while True:
                 nots = 0
-                while self.lookahead.kind == "NOT":
+                while self.lookahead.lastgroup == "NOT":
                     self.advance()
                     nots += 1
-                (neg if nots % 2 else pos).add(self.expect("ATOM", "an atom").value)
-                if self.lookahead.kind != separator:
+                (neg if nots % 2 else pos).add(self.expect("ATOM", "an atom")["ATOM"])
+                if self.lookahead.lastgroup != separator:
                     break
                 self.advance()
         return frozenset(pos), frozenset(neg)
 
     def rule(self) -> Rule:
         token = self.lookahead
-        if token.kind == "TAUT":
+        if token.lastgroup == "TAUT":
             self.advance()
             self.expect("DOT", "'.'")
             return EPSILON
-        if token.kind not in ("ATOM", "NOT", "ARROW"):
+        if token.lastgroup not in ("ATOM", "NOT", "ARROW"):
             self.fail("expected a literal, ':-' or '#taut'"
-                      if token.kind != "EOF" else "expected a rule, found end of input", token)
+                      if token.lastgroup != "EOF" else "expected a rule, found end of input", token)
         head_pos, head_neg = self.literals("SEMI")
         body_pos, body_neg = frozenset(), frozenset()
-        if self.lookahead.kind == "ARROW":
+        if self.lookahead.lastgroup == "ARROW":
             self.advance()
             body_pos, body_neg = self.literals("COMMA")
         self.expect("DOT", "'.'")
@@ -137,8 +127,8 @@ def parse_rule(source: str | SourceProgram) -> Rule:
     parser = _Parser(source)
     rule = parser.rule()
     trailing = parser.lookahead
-    if trailing.kind != "EOF":
-        parser.fail(f"unexpected trailing input {trailing.value!r}", trailing)
+    if trailing.lastgroup != "EOF":
+        parser.fail(f"unexpected trailing input {trailing[trailing.lastgroup]!r}", trailing)
     return rule
 
 
@@ -151,7 +141,7 @@ def parse_program(source: str | SourceProgram) -> tuple[Program, Alphabet]:
     parser = _Parser(source)
     parser.rule_index = 1
     rules: set[Rule] = set()
-    while parser.lookahead.kind != "EOF":
+    while parser.lookahead.lastgroup != "EOF":
         rules.add(parser.rule())
         parser.rule_index += 1
     program = Program(frozenset(rules))
