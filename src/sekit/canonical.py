@@ -12,14 +12,7 @@ from .core import EPSILON, Rule
 
 
 def is_canonical(rule: Rule) -> bool:
-    if rule.is_epsilon:
-        return True
-    head = rule.head_pos | rule.head_neg
-    if head & rule.body_pos or head & rule.body_neg or rule.body_pos & rule.body_neg:
-        return False
-    if rule.head_neg and not rule.head_pos:
-        return False
-    return True
+    return secan(rule) == rule
 
 
 def secan(rule: Rule) -> Rule:

@@ -17,10 +17,10 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from .canonical import secan
-from .core import Alphabet, ScopeError, SESet, _bits_at, _check_enumerable, _indices, _ternary
+from .core import Alphabet, ScopeError, SESet, _check_enumerable, _indices, _ternary
 from .equivalence import EquivalenceNotion, FamilyWitness, SEModelWitness, equivalence_report
 from .oracle import ClosureReport, closure_experiment, count_se_classes
 from .parser import SourceProgram, parse_program, parse_rule, print_rule
@@ -62,12 +62,22 @@ def _pair_text(here: Iterable[str], there: Iterable[str]) -> str:
     return f"([{', '.join(here)}], [{', '.join(there)}])"
 
 
+class _SideNames(dict):
+    """The sorted atom names of each side mask, given those of the empty and one-atom masks. Each
+    list is built once, as the lowest atom's list followed by the list of the rest: alphabet atoms
+    are sorted, so bit order is name order."""
+
+    def __missing__(self, mask: int) -> list[str]:
+        low = mask & -mask
+        names = self[mask] = self[low] + self[mask ^ low]
+        return names
+
+
 def se_set_document(s: SESet) -> dict[str, Any]:
     """The JSON document of S; members with equal sides share one atom-name list."""
-    pairs = list(s.masks())
-    names = {m: sorted(s.alphabet.atoms_of(m)) for m in {side for pair in pairs for side in pair}}
+    names = _SideNames({0: [], **{1 << k: [a] for k, a in enumerate(s.alphabet.atoms)}})
     return {"alphabet": list(s.alphabet.atoms),
-            "models": [[names[i], names[j]] for i, j in pairs]}
+            "models": [[names[i], names[j]] for i, j in s.masks()]}
 
 
 def parse_se_set_document(doc: Any) -> SESet:
@@ -77,33 +87,39 @@ def parse_se_set_document(doc: Any) -> SESet:
     if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
         raise ValueError("'alphabet' must be a list of atom names")
     alphabet = Alphabet(tuple(atoms))
-    seen: dict[tuple[Any, ...], tuple[int, int]] = {}  # each side checked once: mask and index
-
-    def indices() -> Iterator[int]:
-        if not isinstance(doc["models"], list):
-            raise ValueError("'models' must be a list of [I, J] pairs")
-        for entry in doc["models"]:
-            if (not isinstance(entry, list) or len(entry) != 2
-                    or not isinstance(entry[0], list) or not isinstance(entry[1], list)):
-                raise ValueError(f"malformed model entry {entry!r}; expected [I, J]")
-            try:
-                (here, i), (there, j) = seen[tuple(entry[0])], seen[tuple(entry[1])]
-            except (KeyError, TypeError):  # a side not seen before, or an unhashable atom
-                if not all(isinstance(a, str) for side in entry for a in side):
-                    raise ValueError(f"malformed model entry {entry!r}; "
-                                     "atom names must be strings") from None
-                for side in map(tuple, entry):
-                    if side not in seen:
-                        seen[side] = (m := alphabet.mask_of(side), _ternary(m))
-                (here, i), (there, j) = seen[tuple(entry[0])], seen[tuple(entry[1])]
-            if here & ~there:  # _indices names the fault
-                next(_indices(alphabet, [(here, there)]))
-            yield i + j
-
     # the cap is checked before the models are read: one member near the top of a
     # large alphabet takes 3^n bits
     _check_enumerable(alphabet, _cap())
-    return SESet._of(alphabet, _bits_at(indices()))
+    if not isinstance(doc["models"], list):
+        raise ValueError("'models' must be a list of [I, J] pairs")
+    seen: dict[tuple[Any, ...], tuple[int, int]] = {}  # each side checked once: mask and index
+    buf, last, there, j = bytearray(), None, 0, 0  # the bits, filled in place; the J run read last
+    for entry in doc["models"]:
+        if (not isinstance(entry, list) or len(entry) != 2
+                or not isinstance(entry[0], list) or not isinstance(entry[1], list)):
+            raise ValueError(f"malformed model entry {entry!r}; expected [I, J]")
+        names, there_names = entry
+        try:
+            here, i = seen[tuple(names)]
+            if there_names != last:  # a sorted document repeats each J in a run
+                there, j = seen[tuple(there_names)]
+                last = there_names
+        except (KeyError, TypeError):  # a side not seen before, or an unhashable atom
+            if not all(isinstance(a, str) for side in entry for a in side):
+                raise ValueError(f"malformed model entry {entry!r}; "
+                                 "atom names must be strings") from None
+            for side in map(tuple, entry):
+                if side not in seen:
+                    seen[side] = (m := alphabet.mask_of(side), _ternary(m))
+            (here, i), (there, j), last = seen[tuple(names)], seen[tuple(there_names)], there_names
+        if here & ~there:  # _indices names the fault
+            next(_indices(alphabet, [(here, there)]))
+        k = i + j
+        byte = k >> 3
+        if byte >= len(buf):
+            buf += bytes(byte + 1 - len(buf))
+        buf[byte] |= 1 << (k & 7)
+    return SESet._of(alphabet, int.from_bytes(buf, "little"))
 
 
 def _emit(args: argparse.Namespace, text: str, document: dict[str, Any]) -> None:

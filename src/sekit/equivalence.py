@@ -37,11 +37,12 @@ def se_equivalent_rules(r1: Rule, r2: Rule, alphabet: Alphabet, cap: int | None 
 
 
 def _syntax(p1: Program, p2: Program, alphabet: Alphabet) -> tuple:
-    """Each rule's canonical form (the name of its SE-class), every rule's scope checked; per form
+    """Each rule's canonical form (the name of its SE-class), every rule's scope checked in rule
+    order, the tautology then each program's, so a fault names one atom in every process; per form
     the countermodel cubes of one of its rules (none for the tautology); per program the forms of
     the rule family (tautology adjoined); and the rules of the symmetric difference that are no
     SE-tautology. sr and su read these alone."""
-    masks = {rule: _masks(rule, alphabet) for rule in {EPSILON} | p1.rules | p2.rules}  # once each
+    masks = {rule: _masks(rule, alphabet) for rule in dict.fromkeys((EPSILON, *p1, *p2))}  # once each
     canon = {rule: secan(rule) for rule in masks}
     cubes = {canon[r]: () if canon[r].is_epsilon else _products_of(m) for r, m in masks.items()}
     families = [frozenset(canon[r] for r in p.rules | {EPSILON}) for p in (p1, p2)]

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import EPSILON, Rule, SESet
+from .core import EPSILON, Rule, SESet, _product
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def classify_atoms(s: SESet, cap: int | None = None) -> AtomClassification:
     pos_head, neg_head_ok = one & ~two, full & ~zero
     pos_body = neg_head_ok
     if pos_head:  # the missing pairs whose J meets the positive head
-        head_in_j = missing & SESet.excluding(alphabet, [(full, full & ~pos_head, full & ~pos_head)], cap)
+        head_in_j = missing - SESet._of(alphabet, _product(len(alphabet), full, ~pos_head, ~pos_head))
         pos_body &= ~head_in_j.digits()[1]
     return AtomClassification(alphabet.atoms_of(full & ~(one | two)), alphabet.atoms_of(pos_head),
                               alphabet.atoms_of(pos_body), alphabet.atoms_of(neg_head_ok & ~pos_body))

@@ -4,13 +4,14 @@ from __future__ import annotations
 import io
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from sekit import (Alphabet, Interpretation, SEInterpretation, SESet, all_se_interpretations,
-                   print_rule, se_models)
+                   parse_rule, print_rule, se_models)
 from sekit.cli import main, parse_se_set_document, se_set_document
 from strategies import random_rule
 
@@ -170,11 +171,12 @@ def _object_rendering(s):
 
 def test_se_set_documents_round_trip_and_match_the_object_rendering():
     rng = random.Random(11)
-    for n in range(1, 5):
-        alphabet = Alphabet(tuple("pqrs"[:n]))
+    for n in range(1, 9):
+        alphabet = Alphabet(tuple("pqrstuvw"[:n]))
         pairs = all_se_interpretations(alphabet)
-        for _ in range(40):
-            s = SESet(alphabet, rng.sample(pairs, rng.randint(0, len(pairs))))
+        samples = [SESet(alphabet, rng.sample(pairs, rng.randint(0, len(pairs))))
+                   for _ in range(40 if n <= 4 else 4)]
+        for s in [SESet(alphabet), SESet.full(alphabet), *samples]:
             doc = se_set_document(s)
             assert json.dumps(doc) == json.dumps(_object_rendering(s)[1])
             assert parse_se_set_document(json.loads(json.dumps(doc))) == s
@@ -201,6 +203,45 @@ def test_se_set_documents_accept_duplicates_and_unsorted_sides():
     assert parse_se_set_document(doc) == expected
     assert se_set_document(expected) == {"alphabet": ["p", "q"],
                                          "models": [[["q"], ["p", "q"]], [["p", "q"], ["p", "q"]]]}
+
+
+def test_se_set_documents_read_broken_j_runs():
+    alphabet = Alphabet(tuple("pqrst"))
+    s = se_models(parse_rule("p ; not q :- r, not s."), alphabet)
+    models, rng = se_set_document(s)["models"], random.Random(13)
+    for _ in range(10):  # shuffled, then with repeats
+        shuffled = rng.sample(models, len(models))
+        assert parse_se_set_document({"alphabet": list(alphabet.atoms), "models": shuffled}) == s
+        repeated = shuffled + rng.choices(models, k=50)
+        assert parse_se_set_document({"alphabet": list(alphabet.atoms), "models": repeated}) == s
+    two = Alphabet(("p", "q"))
+    # J changes between equal-length lists, and back
+    doc = {"alphabet": ["p", "q"], "models": [[[], ["p"]], [[], ["q"]], [["p"], ["p"]]]}
+    assert parse_se_set_document(doc) == SESet.from_masks(two, [(0, 1), (0, 2), (1, 1)])
+
+    class Side(list):
+        pass
+
+    doc = {"alphabet": ["p", "q"], "models": [[[], ["p"]], [["p"], Side(["p"])]]}
+    assert parse_se_set_document(doc) == SESet.from_masks(two, [(0, 1), (1, 1)])
+    doc = {"alphabet": ["p", "q"], "models": [[[], ["p"]], [["p"], ("p",)]]}
+    with pytest.raises(ValueError, match="malformed model entry"):
+        parse_se_set_document(doc)
+    doc = {"alphabet": ["p", "q"], "models": [[[], ["p"]], [["q"], ["p"]]]}
+    with pytest.raises(ValueError, match="is not a subset of there"):
+        parse_se_set_document(doc)
+
+
+def test_a_small_document_over_many_atoms_takes_no_full_buffer():
+    atoms = [f"a{k:02}" for k in range(20)]
+    tracemalloc.start()
+    try:
+        s = parse_se_set_document({"alphabet": atoms, "models": [[[], []]]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 1 and s._bits == 1
+    assert peak < 1 << 20  # 3^20 bits would be 436 MB
 
 
 def test_equiv_all_notions_with_witness(capsys, tmp_path):

@@ -1,13 +1,17 @@
 """The four equivalence notions, their ladder, and witnesses."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import given
 
 import naive
+import sekit
 import strategies
 from sekit import (EPSILON, Alphabet, EnumerationCapError, EquivalenceNotion, FamilyWitness,
                    Interpretation, Program, Rule, ScopeError, SEInterpretation, SEModelWitness,
@@ -312,6 +316,31 @@ def test_report_computes_each_rules_masks_once(monkeypatch):
     wide = Alphabet(tuple("abcdefghijklmnopqrstu"))  # 21 atoms, over the cap
     with pytest.raises(ScopeError, match="'z'"):  # the scope is checked before the cap
         equivalence_report(outside, left, wide)
+
+
+def test_scope_errors_name_the_first_rule_in_rule_order_under_every_hash_seed():
+    src = os.path.dirname(os.path.dirname(sekit.__file__))
+    code = ("from sekit import *\n"
+            "left = parse_program('a :- b. c :- d. e :- f. g :- h.')[0]\n"
+            "right = parse_program('a :- b. x :- y. p :- q.')[0]\n"
+            "for check in (equivalence_report, strongly_equivalent, sr_equivalent, smr_equivalent,\n"
+            "              su_equivalent):\n"
+            "    try:\n"
+            "        check(left, right, Alphabet(('a', 'b')))\n"
+            "    except ScopeError as exc:\n"
+            "        print(check.__name__, exc)\n"
+            "try:\n"
+            "    answer_sets(left, Alphabet(('a', 'b')))\n"
+            "except ScopeError as exc:\n"
+            "    print('answer_sets', exc)\n")
+    outputs = set()
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        outputs.add(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                   env=env, check=True, timeout=60).stdout)
+    assert len(outputs) == 1
+    lines = outputs.pop().splitlines()
+    assert len(lines) == 6 and all(line.endswith("atom 'c' is not in alphabet {a, b}") for line in lines)
 
 
 def test_strong_equivalence_computes_each_rules_masks_once(monkeypatch):
