@@ -93,7 +93,7 @@ def parse_se_set_document(doc: Any) -> SESet:
     if not isinstance(doc["models"], list):
         raise ValueError("'models' must be a list of [I, J] pairs")
     seen: dict[tuple[Any, ...], tuple[int, int]] = {}  # each side checked once: mask and index
-    buf, last, there, j = bytearray(), None, 0, 0  # the bits, filled in place; the J run read last
+    buf, last = bytearray(), None  # the bits, filled in place as `_bits_at` does; the last J list
     for entry in doc["models"]:
         if (not isinstance(entry, list) or len(entry) != 2
                 or not isinstance(entry[0], list) or not isinstance(entry[1], list)):
